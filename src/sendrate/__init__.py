@@ -14,12 +14,10 @@ from .events import (ActorTraits, Event, EventStream, RiskSetPolicy,
                      StreamError, export_events, ingest_events, ingest_traits,
                      risk_set)
 from .likelihood import (DegenerateSenderError, GrowthSequence,
-                         LikelihoodReport, SenderSnapshot,
-                         approx_multicast_logpl, dense_oracle, evaluate,
-                         exact_multicast_logpl, growth_sequence,
-                         log_partial_likelihood, sender_snapshot, weight)
-from .simulator import SimConfig, sample_receiver_set, simulate
+                         LikelihoodReport, dense_oracle, evaluate,
+                         growth_sequence)
+from .simulator import SimConfig, simulate
 from .solver import (DevianceTable, FitResult, SolverConfig, deviance_table,
-                     fit, fit_stream, standard_errors, wald_tests)
+                     fit, standard_errors, wald_tests)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -11,7 +11,6 @@ mean replicate residual estimates the bias.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,6 @@ class BootstrapConfig:
     seed: int = 0
     sampler: str = "sequential_wor"
     max_iters: int = 50
-    threads: int = 1
     skip_tolerance: float = 0.05
 
     def __post_init__(self):
@@ -127,7 +125,8 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
     beta = fit_result.beta
     probs = likelihood.selection_probabilities(design, beta)
 
-    def one(r):
+    kept = []
+    for r in range(config.replicates):
         rng = substream(config.seed, r)
         receivers = draw_replicate(design, beta, rng, config.sampler, probs)
         rep_design = _replicate_design(design, receivers)
@@ -135,16 +134,9 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
             res = solver.fit(rep_design, "approx_multicast", solver_config,
                              beta0=beta)
         except StreamError:
-            return None
-        return res.beta if res.converged else None
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, range(config.replicates)))
-    else:
-        results = [one(r) for r in range(config.replicates)]
-
-    kept = [b for b in results if b is not None]
+            continue
+        if res.converged:
+            kept.append(res.beta)
     skipped = config.replicates - len(kept)
     if not kept:
         raise StreamError("every bootstrap replicate failed to fit")

@@ -70,12 +70,11 @@ def _write_manifest(command, args_dict, inputs, outputs, seed, started):
 def _load_inputs(args):
     spec = CovariateSpec.load(args.spec)
     traits = ingest_traits(args.traits) if getattr(args, "traits", None) else None
+    # trait rows are indexed by actor id, so the ids stay as written
+    pinned = {} if traits is None else {"actor_count": traits.actor_count,
+                                        "traits": traits}
     stream, report = ingest_events(args.events, format=args.format,
-                                   cutoff=args.cutoff)
-    if traits is not None and traits.actor_count != stream.actor_count:
-        raise StreamError(
-            f"traits cover {traits.actor_count} actors, stream has "
-            f"{stream.actor_count}")
+                                   cutoff=args.cutoff, **pinned)
     return stream, report, spec, traits
 
 
@@ -91,15 +90,6 @@ def _group_terms(term_names, tokens):
             raise StreamError(f"deviance group {token!r} matches no terms")
         groups.append((token, terms))
     return groups
-
-
-def _threads(args):
-    env = os.environ.get("SENDRATE_THREADS")
-    if args.threads is not None:
-        return args.threads
-    if env:
-        return int(env)
-    return 1
 
 
 def cmd_fit(args):
@@ -140,8 +130,7 @@ def cmd_bootstrap(args):
     design = prepare(stream, spec, traits=traits)
     fit_result = solver.FitResult.load(args.fit) if args.fit else None
     cfg = bootstrap.BootstrapConfig(replicates=args.replicates,
-                                    seed=args.seed, sampler=args.sampler,
-                                    threads=_threads(args))
+                                    seed=args.seed, sampler=args.sampler)
     report = bootstrap.bootstrap_bias(design, fit_result, cfg)
     report.save(args.out)
     summary = args.out + ".residuals.csv"
@@ -223,7 +212,6 @@ def build_parser():
     p.add_argument("--deviance",
                    help="comma-separated term groups for the deviance table")
     p.add_argument("--max-iters", type=int, default=100)
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bootstrap", help="parametric bias correction")
@@ -234,7 +222,6 @@ def build_parser():
     p.add_argument("--sampler", choices=bootstrap.SAMPLERS,
                    default="sequential_wor")
     p.add_argument("--out", default="bootstrap.json")
-    p.add_argument("--threads", type=int)
     p.set_defaults(func=cmd_bootstrap)
 
     p = sub.add_parser("simulate", help="generate a stream from the model")

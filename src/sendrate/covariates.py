@@ -29,11 +29,11 @@ DEFAULT_BOUNDARIES = tuple(450.0 * 4 ** k for k in range(1, 7))
 class IntervalScheme:
     """Partition of elapsed age into K half-open bins.
 
-    ``boundaries`` are the finite cut points (ascending, positive); bin k
-    for k = 1..K-1 is [boundary[k-1], boundary[k]) in age, and bin K is
-    [boundary[K-1], inf).  Ages are measured backward from the query time,
-    so a record of age 0 (the current instant) falls in no bin: bin 1 covers
-    strictly positive elapsed time up to the first boundary.
+    ``boundaries`` are the finite cut points b_1 < ... < b_{K-1} (positive);
+    with b_0 = 0 and b_K = inf, bin k for k = 1..K is (b_{k-1}, b_k] in age.
+    Ages are measured backward from the query time, so a record of age 0
+    (the current instant) falls in no bin, and a record exactly b_k old is
+    still in bin k.
     """
 
     def __init__(self, boundaries=DEFAULT_BOUNDARIES):

@@ -140,7 +140,6 @@ class PreparedDesign:
         self.recv_j = np.concatenate(recv_parts)
         self.row_ev = np.repeat(np.arange(n), np.diff(row_start))
         self.row_class = ev_class[self.row_ev]
-        self.final_state = state
 
     # -- derived views -----------------------------------------------------
 
@@ -199,7 +198,6 @@ class PreparedDesign:
             setattr(out, name, getattr(self, name))
         out.xsum = self.xsum[:, cols]
         out.dX = self.dX[:, cols]
-        out.final_state = self.final_state
         return out
 
     def column_indices(self, names):

@@ -9,20 +9,28 @@ the batched DP used by the likelihood lives with the likelihood code.
 
 from __future__ import annotations
 
-import itertools
-import math
-
 import numpy as np
 
 
-def esp_values(w, L):
-    """e_0..e_L of the weights, by the one-pass triangular recurrence."""
+def esp_table(w, L):
+    """Table of the triangular recurrence: row r holds e_0..e_L of the
+    first r weights, so the last row is e_0..e_L of them all.
+
+    Column l is the running sum of w_r e_{l-1}(first r weights), one
+    cumulative sum per degree, added in the same order as the one-item-
+    at-a-time recurrence.
+    """
     w = np.asarray(w, dtype=np.float64)
-    e = np.zeros(L + 1)
-    e[0] = 1.0
-    for x in w:
-        e[1:] = e[1:] + x * e[:-1]
-    return e
+    table = np.zeros((len(w) + 1, L + 1))
+    table[:, 0] = 1.0
+    for l in range(1, L + 1):
+        np.cumsum(w * table[:-1, l - 1], out=table[1:, l])
+    return table
+
+
+def esp_values(w, L):
+    """e_0..e_L of the weights."""
+    return esp_table(w, L)[-1]
 
 
 def esp_grad_hess(w, X, L):
@@ -52,53 +60,13 @@ def esp_grad_hess(w, X, L):
     return e[L], G[L], H[L]
 
 
-def subset_moments(w, X, L):
-    """Mean and covariance of the covariate sum over size-L subsets drawn
-    with probability proportional to the product of weights."""
-    S0, S1, S2 = esp_grad_hess(w, X, L)
-    if S0 <= 0:
-        raise ValueError("no feasible subsets of the requested size")
-    mean = S1 / S0
-    cov = S2 / S0 - np.outer(mean, mean)
-    return S0, mean, cov
-
-
-def enumerate_subset_law(w, L):
-    """Explicit (subset, probability) enumeration; test oracle only."""
-    w = np.asarray(w, dtype=np.float64)
-    idx = np.arange(len(w))
-    subsets = list(itertools.combinations(idx, L))
-    mass = np.array([np.prod(w[list(s)]) for s in subsets])
-    total = mass.sum()
-    return subsets, mass / total
-
-
-def inclusion_probabilities(w, L):
-    """P(j in A) under the fixed-size law: w_j e_{L-1}(w without j) / e_L."""
-    w = np.asarray(w, dtype=np.float64)
-    scale = w.max()
-    if scale <= 0:
-        raise ValueError("all weights zero")
-    ws = w / scale
-    e = esp_values(ws, L)
-    out = np.zeros(len(w))
-    for j, x in enumerate(ws):
-        # leave-one-out ESPs by deflation: e_l(-j) = e_l - x * e_{l-1}(-j)
-        eminus = np.zeros(L)
-        eminus[0] = 1.0
-        for l in range(1, L):
-            eminus[l] = e[l] - x * eminus[l - 1]
-        out[j] = x * eminus[L - 1] / e[L]
-    return out
-
-
-def sample_fixed_size(w, L, rng, method="dp"):
+def sample_fixed_size(w, L, rng):
     """Draw a size-L subset with probability proportional to the product of
     its weights (exact fixed-size law).
 
-    method "dp" walks the items once, including each with probability
-    w_j e_{L-q'}(rest) ratios from suffix ESP tables; "enumerate" draws from
-    the explicit law and is only sensible for small instances.
+    Walks the items once, including each with probability
+    w_j e_{q-1}(rest) / e_q(w_j and rest) from a suffix ESP table, where q
+    is the number of items still to choose.
     """
     w = np.asarray(w, dtype=np.float64)
     if (w < 0).any():
@@ -108,21 +76,10 @@ def sample_fixed_size(w, L, rng, method="dp"):
         raise ValueError(f"cannot draw {L} items from {support} with positive weight")
     if L == support:
         return sorted(np.flatnonzero(w > 0).tolist())
-    if method == "enumerate":
-        if math.comb(len(w), L) > 10 ** 4:
-            raise ValueError("enumeration fallback limited to 10^4 subsets")
-        subsets, probs = enumerate_subset_law(w, L)
-        return sorted(subsets[rng.choice(len(subsets), p=probs)])
-    if method != "dp":
-        raise ValueError(f"unknown method {method!r}")
-
     ws = w / w.max()
     R = len(ws)
-    # suffix[r, l] = e_l(ws[r:]), built right to left
-    suffix = np.zeros((R + 1, L + 1))
-    suffix[:, 0] = 1.0
-    for r in range(R - 1, -1, -1):
-        suffix[r, 1:] = suffix[r + 1, 1:] + ws[r] * suffix[r + 1, :-1]
+    # suffix[r, l] = e_l(ws[r:]): the table of the reversed weights, reversed
+    suffix = esp_table(ws[::-1], L)[::-1]
     chosen = []
     q = L
     for r in range(R):

@@ -24,12 +24,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .design import prepare
 from .events import StreamError
 
 VARIANTS = ("pairwise", "exact_multicast", "approx_multicast")
 
-_Z_CAP = 700.0  # exp() overflow guard for dynamic log-weight corrections
+#: Largest dynamic log-weight correction the sparse evaluator takes as a
+#: ratio exp(z) to the class baseline.  exp(600) ~ 4e260, so neither a row
+#: ratio nor a block's rho = 1 + sum(pi0 * (exp(z) - 1)), with pi0 <= 1 and
+#: far fewer than 1e48 rows, can overflow; a block with a larger in-risk
+#: correction is evaluated directly instead.
+_Z_MAX = 600.0
 
 
 class DegenerateSenderError(StreamError):
@@ -46,43 +50,49 @@ class LikelihoodReport:
     n_decisions: int = 0
 
 
-@dataclass
-class SenderSnapshot:
-    """Per-sender selection state at one instant.
-
-    pi(j) = gamma * pi0(j) + delta_pi.get(j, 0) is the probability that a
-    single selection by this sender lands on j.
-    """
-
-    sender: int
-    t: float
-    gamma: float
-    delta_pi: dict
-    log_w0: float
-    pi0: np.ndarray
-    E0: np.ndarray
-    V0: np.ndarray
-    log_w: float
-
-    def pi(self, j):
-        return self.gamma * self.pi0[j] + self.delta_pi.get(j, 0.0)
-
-    def pi_vector(self):
-        out = self.gamma * self.pi0.copy()
-        for j, d in self.delta_pi.items():
-            out[j] += d
-        return out
-
-
-def weight(beta, x, in_risk=True):
-    """exp(beta . x) if the receiver is eligible, else 0."""
-    if not in_risk:
-        return 0.0
-    return float(np.exp(np.dot(beta, x)))
-
-
 # ---------------------------------------------------------------------------
-# class-level baseline quantities
+# risk-set weights and class-level baseline quantities
+
+def _event_rows(design, events):
+    """Indices of the given events' sparse rows, and the position in
+    ``events`` of the event each row belongs to."""
+    counts = design.row_start[events + 1] - design.row_start[events]
+    local = np.repeat(np.arange(len(events)), counts)
+    skip = (design.row_start[events] - np.cumsum(counts) + counts)[local]
+    return skip + np.arange(len(local)), local
+
+
+def _dense_design(design, events):
+    """(events, A, p) full design matrices of the given events."""
+    rows, local = _event_rows(design, events)
+    X = design.static._x0[design.ev_class[events]]
+    X[local, design.row_j[rows]] += design.dX[rows]
+    return X
+
+
+def _risk_weights(design, beta, events=None):
+    """Per-event log shift c and max-shifted weights exp(x . beta - c).
+
+    Rows of the (events, A) weight matrix are the selection weights of each
+    event's receivers (all events when ``events`` is None): zero outside the
+    risk set, at most 1, and exactly 1 at the heaviest receiver.
+    """
+    if events is None:
+        events, rows, local = np.arange(design.n_events), slice(None), design.row_ev
+    else:
+        rows, local = _event_rows(design, events)
+    S = (design.static._x0 @ beta)[design.ev_class[events]]
+    row_j = design.row_j[rows]
+    if design.p:
+        S[local, row_j] += design.dX[rows] @ beta
+    off = ~design.row_inrisk[rows]
+    S[local[off], row_j[off]] = -np.inf
+    c = S.max(axis=1)
+    if not np.isfinite(c).all():
+        bad = int(events[np.argmax(~np.isfinite(c))])
+        raise DegenerateSenderError(f"empty risk set at event {bad}")
+    return c, np.exp(S - c[:, None])
+
 
 def _class_tables(design, beta, order):
     """Per sender class: log normalizer, selection probabilities over all
@@ -193,30 +203,22 @@ def evaluate(design, beta, variant="approx_multicast", order=2,
 _RHO_FLOOR = 1e-3
 
 
-def _rescue_event(design, beta, m, order):
-    """Direct evaluation of one event's normalizer and moments."""
-    X = design.dense_x(m)
-    mask = design.risk_mask(m)
-    s = X @ beta
-    s[~mask] = -np.inf
-    cmax = s.max()
-    if not np.isfinite(cmax):
-        raise DegenerateSenderError(f"empty risk set at event {m}")
-    w = np.exp(s - cmax)
-    w[~mask] = 0.0
-    W = w.sum()
-    if W <= 0.0:
-        raise DegenerateSenderError(
-            f"zero effective risk-set weight at event {m}")
-    logW = cmax + np.log(W)
+def _rescue_events(design, beta, events, mass, order):
+    """Direct normalizers and moments of the given events' risk sets:
+    log W and E per event, and the second moments summed with weights
+    ``mass``."""
+    c, w = _risk_weights(design, beta, events)
+    W = w.sum(axis=1)
+    logW = c + np.log(W)
     if order < 1:
         return logW, None, None
-    pi = w / W
-    E = X.T @ pi
+    X = _dense_design(design, events)
+    pi = w / W[:, None]
+    E = np.einsum("ka,kap->kp", pi, X)
     if order < 2:
         return logW, E, None
-    A = X.T @ (pi[:, None] * X)
-    return logW, E, A
+    Xf = X.reshape(-1, design.p)
+    return logW, E, (Xf * (mass[:, None] * pi).reshape(-1, 1)).T @ Xf
 
 
 def _eval_sparse(design, beta, order, keep_terms):
@@ -229,24 +231,27 @@ def _eval_sparse(design, beta, order, keep_terms):
     # row weights relative to the class baseline, in preallocated scratch
     z = _scratch("z", (R,))
     np.dot(blk.dX, beta, out=z)
-    np.clip(z, -_Z_CAP, _Z_CAP, out=z)
+    z[blk.off] = -np.inf                           # weight 0 off the risk set
+    big = z > _Z_MAX                               # evaluated directly below
+    z[big] = 0.0
     expz = np.exp(z, out=z)
-    expz[blk.off] = 0.0
     pi0row = np.take(pi0.ravel(), blk.flat, out=_scratch("pi0row", (R,)))
     delta = np.subtract(expz, 1.0, out=_scratch("delta", (R,)))
     np.multiply(delta, pi0row, out=delta)          # Delta w / W_0
     rho = 1.0 + _segment_sums(delta, blk.start, B)
 
     # Blocks whose corrections cancel most of the baseline weight lose
-    # precision in W_0 + sum(Delta w); evaluate those few directly.  Their
-    # gamma is zeroed so every sparse-row contribution vanishes below.
+    # precision in W_0 + sum(Delta w), and blocks with a correction above
+    # _Z_MAX would overflow it; evaluate those few directly.  Their gamma
+    # is zeroed so every sparse-row contribution vanishes below.
     ok = rho >= _RHO_FLOOR
-    rescued = {int(b): _rescue_event(design, beta, int(blk.first[b]), order)
-               for b in np.flatnonzero(~ok)}
+    ok[blk.row_blk[big]] = False
+    bad = np.flatnonzero(~ok)
     gamma = np.where(ok, 1.0 / np.where(ok, rho, 1.0), 0.0)
     logW = logW0[blk.cls] + np.log(np.where(ok, rho, 1.0))
-    for b, (lw, _, _) in rescued.items():
-        logW[b] = lw
+    if len(bad):
+        logW[bad], E_bad, A_bad = _rescue_events(
+            design, beta, blk.first[bad], blk.mass[bad], order)
 
     xtot = _xsum_total(design)
     report = LikelihoodReport(float(xtot @ beta - blk.mass @ logW),
@@ -268,8 +273,8 @@ def _eval_sparse(design, beta, order, keep_terms):
     buf += buf2
     E = gamma[:, None] * E0[blk.cls]
     E += _segment_sums(buf, blk.start, B)
-    for b, (_, Eb, _) in rescued.items():
-        E[b] = Eb
+    if len(bad):
+        E[bad] = E_bad
     report.score = xtot - blk.mass @ E
     if order < 2:
         return report
@@ -287,8 +292,8 @@ def _eval_sparse(design, beta, order, keep_terms):
     cls_mass = np.bincount(blk.cls, weights=blk.mass * gamma,
                            minlength=design.static.n_classes)
     M += np.einsum("c,cpq->pq", cls_mass, A0)
-    for b, (_, _, Ab) in rescued.items():
-        M += blk.mass[b] * Ab
+    if len(bad):
+        M += A_bad
     M -= E.T @ (blk.mass[:, None] * E)
     report.info = 0.5 * (M + M.T)
     return report
@@ -309,25 +314,13 @@ def _eval_exact(design, beta, order, keep_terms, l_max=6):
             f"event {bad}: {sizes[bad]} receivers exceed risk set of "
             f"{in_risk_count[bad]}")
 
-    s0 = design.static._x0 @ beta                  # (C, A)
-    S = s0[design.ev_class].copy()                 # (n, A)
-    z = design.dX @ beta if p else np.zeros(len(design.row_j))
-    S[design.row_ev, design.row_j] += np.clip(z, -_Z_CAP, _Z_CAP)
-    mask = np.ones((n, A), dtype=bool)
-    off = ~design.row_inrisk
-    mask[design.row_ev[off], design.row_j[off]] = False
-    S[~mask] = -np.inf
-    c = S.max(axis=1)
-    w = np.exp(S - c[:, None])
-    w[~mask] = 0.0
-
+    c, w = _risk_weights(design, beta)
     e = np.zeros((Lmax + 1, n))
     e[0] = 1.0
     G = np.zeros((Lmax + 1, n, p)) if order >= 1 else None
     H = np.zeros((Lmax + 1, n, p, p)) if order >= 2 else None
     if order >= 1:
-        X0d = design.static._x0[design.ev_class].copy()   # (n, A, p)
-        X0d[design.row_ev, design.row_j] += design.dX
+        X0d = _dense_design(design, np.arange(n))
     for r in range(A):
         wr = w[:, r]
         if order >= 1:
@@ -416,79 +409,9 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
 def selection_probabilities(design, beta):
     """(n, A) matrix of single-selection probabilities per event, zero for
     receivers outside the risk set."""
-    beta = np.asarray(beta, dtype=np.float64)
-    s0 = design.static._x0 @ beta
-    S = s0[design.ev_class].copy()
-    z = design.dX @ beta if design.p else np.zeros(len(design.row_j))
-    S[design.row_ev, design.row_j] += np.clip(z, -_Z_CAP, _Z_CAP)
-    off = ~design.row_inrisk
-    S[design.row_ev[off], design.row_j[off]] = -np.inf
-    peak = S.max(axis=1)
-    if not np.isfinite(peak).all():
-        bad = int(np.argmax(~np.isfinite(peak)))
-        raise DegenerateSenderError(f"empty risk set at event {bad}")
-    S -= peak[:, None]
-    w = np.exp(S)
+    _, w = _risk_weights(design, np.asarray(beta, dtype=np.float64))
     w /= w.sum(axis=1)[:, None]
     return w
-
-
-# ---------------------------------------------------------------------------
-# spec-level convenience entry points
-
-def log_partial_likelihood(beta, stream, spec, traits=None, policy=None):
-    design = prepare(stream, spec, traits, policy)
-    return evaluate(design, beta, "pairwise")
-
-
-def approx_multicast_logpl(beta, stream, spec, traits=None, policy=None):
-    design = prepare(stream, spec, traits, policy)
-    return evaluate(design, beta, "approx_multicast")
-
-
-def exact_multicast_logpl(beta, stream, spec, traits=None, policy=None):
-    design = prepare(stream, spec, traits, policy)
-    return evaluate(design, beta, "exact_multicast")
-
-
-def sender_snapshot(beta, state, static, t, i, policy=None, excluded=None):
-    """Selection state for sender i at time t under the sparse
-    baseline-plus-correction bookkeeping."""
-    beta = np.asarray(beta, dtype=np.float64)
-    A = static._x0.shape[1]
-    if excluded is None:
-        if policy is None:
-            excluded = {i}
-        else:
-            excluded = set(np.flatnonzero(~policy.mask(t, i, A)).tolist())
-    c = static.class_of[i]
-    X0 = static.x0(c)
-    s0 = X0 @ beta
-    m0 = s0.max()
-    pi0 = np.exp(s0 - m0)
-    Z = pi0.sum()
-    logW0 = m0 + np.log(Z)
-    pi0 /= Z
-    E0 = X0.T @ pi0
-    V0 = X0.T @ (pi0[:, None] * X0) - np.outer(E0, E0)
-
-    js, dx = state.delta_rows(t, i)
-    rows = {j: dx[r] for r, j in enumerate(js)}
-    for j in excluded:
-        rows.setdefault(j, np.zeros(static._x0.shape[2]))
-    rho = 1.0
-    raw = {}
-    for j, d in rows.items():
-        mult = 0.0 if j in excluded else float(np.exp(np.clip(d @ beta, -_Z_CAP, _Z_CAP)))
-        raw[j] = pi0[j] * (mult - 1.0)
-        rho += raw[j]
-    if rho <= 1e-12:
-        raise DegenerateSenderError(f"sender {i} has empty effective risk set at t={t}")
-    gamma = 1.0 / rho
-    delta_pi = {j: v * gamma for j, v in raw.items()}
-    return SenderSnapshot(sender=i, t=t, gamma=gamma, delta_pi=delta_pi,
-                          log_w0=logW0, pi0=pi0, E0=E0, V0=V0,
-                          log_w=logW0 + np.log(rho))
 
 
 @dataclass
@@ -515,12 +438,3 @@ def growth_sequence(stream, policy=None):
             inc.append(0.0)
     return GrowthSequence(np.cumsum(inc))
 
-
-def dump_terms(design, beta, variant, path):
-    """Write per-event log-likelihood terms as csv (debug aid)."""
-    rep = evaluate(design, beta, variant, order=0, keep_terms=True)
-    with open(path, "w") as fh:
-        fh.write("event_index,sender,logterm\n")
-        for m, term in enumerate(rep.terms):
-            fh.write(f"{m},{design.ev_sender[m]},{term!r}\n")
-    return rep

@@ -92,12 +92,6 @@ class SimConfig:
                    traits=traits)
 
 
-def sample_receiver_set(weights, L, rng, method="dp"):
-    """Size-L receiver set with probability proportional to the product of
-    the member weights (the exact fixed-size law)."""
-    return esp.sample_fixed_size(weights, L, rng, method=method)
-
-
 #: Hard ceiling on the log total intensity; beyond this the configuration
 #: has run away (self-excitation too strong) and simulation stops honestly.
 _LOG_RATE_CAP = 500.0
@@ -128,6 +122,7 @@ class _Engine:
             self.logbase = (np.log(self.lam)[:, None]
                             + np.log(self.qvec)[None, :])
         self.logS = np.zeros((A, len(self.sizes)))
+        self.wrel = np.zeros((A, A))     # exp(logw - row max), 0 off the risk set
         for i in range(A):
             self._refresh_sender(i)
         self.crossings = []
@@ -140,7 +135,8 @@ class _Engine:
         if not np.isfinite(top):
             self.logS[i] = -np.inf
             return
-        e = esp.esp_values(np.exp(row - top), int(self.sizes.max()))
+        self.wrel[i] = np.exp(row - top)
+        e = esp.esp_values(self.wrel[i], int(self.sizes.max()))
         with np.errstate(divide="ignore"):
             self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
 
@@ -198,10 +194,7 @@ class _Engine:
             pick = self.rng.choice(len(probs), p=probs)
             i, li = divmod(pick, len(self.sizes))
             L = int(self.sizes[li])
-            row = self.logw[i]
-            w_rel = np.exp(row - row[np.isfinite(row)].max())
-            w_rel[~np.isfinite(row)] = 0.0
-            recv = esp.sample_fixed_size(w_rel, L, self.rng)
+            recv = esp.sample_fixed_size(self.wrel[i], L, self.rng)
             ev = Event(t, int(i), tuple(int(j) for j in recv))
             events.append(ev)
             self.state.advance(ev)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import likelihood
-from .design import prepare
 from .events import StreamError
 
 
@@ -80,8 +79,10 @@ class FitResult:
             "converged": self.converged,
             "terms": list(self.term_names),
             "variant": self.variant,
+            "grad_norm": self.grad_norm,
             "overdispersion": self.overdispersion,
             "unidentifiable": list(self.unidentifiable),
+            "logpl_trace": list(self.logpl_trace),
         }
 
     @classmethod
@@ -93,9 +94,10 @@ class FitResult:
                    n_decisions=obj["n_decisions"],
                    iterations=obj["iterations"], converged=obj["converged"],
                    term_names=obj["terms"], variant=obj["variant"],
-                   grad_norm=float("nan"),
+                   grad_norm=float(obj.get("grad_norm", "nan")),
                    overdispersion=obj["overdispersion"],
-                   unidentifiable=obj.get("unidentifiable", []))
+                   unidentifiable=obj.get("unidentifiable", []),
+                   logpl_trace=obj.get("logpl_trace", []))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -200,11 +202,6 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
                      term_names=list(design.term_names), variant=variant,
                      grad_norm=gnorm, overdispersion=phi,
                      unidentifiable=unident, logpl_trace=trace)
-
-
-def fit_stream(stream, spec, variant="approx_multicast", config=None,
-               traits=None, policy=None, beta0=None):
-    return fit(prepare(stream, spec, traits, policy), variant, config, beta0)
 
 
 def standard_errors(result, overdispersion_adjust=False):

@@ -119,17 +119,6 @@ class TestBootstrapBias:
         mc = 3.0 * sd / np.sqrt(len(report.replicate_estimates))
         assert (np.abs(report.bias_hat) <= mc).all()
 
-    def test_replicas_parallel_threads_match_serial(self):
-        design = simulated_design(n=200)
-        res = fit(design, "approx_multicast")
-        serial = bootstrap_bias(design, res,
-                                BootstrapConfig(replicates=8, seed=5))
-        threaded = bootstrap_bias(design, res,
-                                  BootstrapConfig(replicates=8, seed=5,
-                                                  threads=4))
-        assert np.array_equal(serial.replicate_estimates,
-                              threaded.replicate_estimates)
-
     def test_report_json(self, tmp_path):
         design = simulated_design(n=200)
         res = fit(design, "approx_multicast")

@@ -4,6 +4,8 @@ import os
 import numpy as np
 import pytest
 
+from sendrate import (CovariateSpec, SolverConfig, fit, ingest_events,
+                      ingest_traits, prepare)
 from sendrate.cli import main
 
 SIM_CONFIG = {
@@ -88,6 +90,40 @@ class TestSimulateAndFit:
         lines = open("fit.json.deviance.csv").read().splitlines()
         assert lines[0] == "Term,Df,Deviance,Resid. Df,Resid. Dev"
         assert [l.split(",")[0] for l in lines[1:]] == ["Null", "send", "receive"]
+
+
+class TestTraits:
+    @pytest.fixture
+    def traited(self, workdir):
+        (workdir / "traits.csv").write_text(
+            "actor,g\n" + "\n".join(f"{i},{int(i < 3)}" for i in range(10)))
+        spec = dict(SIM_CONFIG["covariates"], static=["1*g"])
+        (workdir / "tspec.json").write_text(json.dumps(spec))
+        sim = dict(SIM_CONFIG, covariates=spec, beta_true=[1.5, 0.8, 0.4],
+                   traits="traits.csv", n_events=600)
+        (workdir / "tsim.json").write_text(json.dumps(sim))
+        assert run("simulate", "--config", "tsim.json", "--out", "t.csv") == 0
+        return workdir
+
+    def test_trait_rows_follow_actor_ids(self, traited):
+        # ids first appear out of order, so numbering actors by first
+        # appearance would pair them with other actors' trait rows
+        stream, _ = ingest_events("t.csv")
+        assert stream.original_ids != sorted(stream.original_ids)
+        assert run("fit", "--events", "t.csv", "--spec", "tspec.json",
+                   "--traits", "traits.csv", "--out", "fit.json") == 0
+        traits = ingest_traits("traits.csv")
+        stream, _ = ingest_events("t.csv", actor_count=traits.actor_count,
+                                  traits=traits)
+        design = prepare(stream, CovariateSpec.load("tspec.json"), traits=traits)
+        want = fit(design, "approx_multicast", SolverConfig(max_iters=100))
+        assert json.loads(open("fit.json").read())["beta"] == want.beta.tolist()
+
+    def test_actor_outside_traits_is_1(self, traited):
+        (traited / "short.csv").write_text(
+            "actor,g\n" + "\n".join(f"{i},{int(i < 3)}" for i in range(9)))
+        assert run("fit", "--events", "t.csv", "--spec", "tspec.json",
+                   "--traits", "short.csv", "--out", "fit.json") == 1
 
 
 class TestExitCodes:

@@ -5,14 +5,43 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sendrate.esp import (enumerate_subset_law, esp_grad_hess, esp_values,
-                          inclusion_probabilities, sample_exponential_keys,
-                          sample_fixed_size, subset_moments)
+from sendrate.esp import (esp_grad_hess, esp_table, esp_values,
+                          sample_exponential_keys, sample_fixed_size)
 
 
 def brute_esp(w, L):
     return sum(math.prod(w[k] for k in s)
                for s in itertools.combinations(range(len(w)), L))
+
+
+def subset_law(w, L):
+    """{subset: probability} of the fixed-size law, by enumeration."""
+    mass = {s: math.prod(w[k] for k in s)
+            for s in itertools.combinations(range(len(w)), L)}
+    total = sum(mass.values())
+    return {s: m / total for s, m in mass.items()}
+
+
+def loop_prefix_table(w, L):
+    """The triangular recurrence one item at a time: row r is e_0..e_L
+    of the first r weights."""
+    e = np.zeros(L + 1)
+    e[0] = 1.0
+    rows = [e.copy()]
+    for x in w:
+        e[1:] = e[1:] + x * e[:-1]
+        rows.append(e.copy())
+    return np.array(rows)
+
+
+def loop_suffix_table(w, L):
+    """suffix[r, l] = e_l(w[r:]), built right to left one item at a time."""
+    R = len(w)
+    suffix = np.zeros((R + 1, L + 1))
+    suffix[:, 0] = 1.0
+    for r in range(R - 1, -1, -1):
+        suffix[r, 1:] = suffix[r + 1, 1:] + w[r] * suffix[r + 1, :-1]
+    return suffix
 
 
 class TestValues:
@@ -35,6 +64,20 @@ class TestValues:
     def test_zeros_are_transparent(self, rng):
         w = np.array([0.0, 2.0, 0.0, 3.0, 4.0])
         assert_allclose(esp_values(w, 2)[2], brute_esp(w.tolist(), 2))
+
+    def test_table_equals_loop_recurrence(self, rng):
+        # same products added in the same order: equal to the last bit,
+        # for the prefix table and for the reversed table the sampler uses
+        for _ in range(300):
+            n = int(rng.integers(0, 40))
+            L = int(rng.integers(0, 7))
+            w = np.exp(rng.normal(0.0, 4.0, size=n))
+            w[rng.random(n) < 0.2] = 0.0
+            table = esp_table(w, L)
+            assert np.array_equal(table, loop_prefix_table(w, L))
+            assert np.array_equal(esp_values(w, L), loop_prefix_table(w, L)[-1])
+            assert np.array_equal(esp_table(w[::-1], L)[::-1],
+                                  loop_suffix_table(w, L))
 
 
 class TestGradHess:
@@ -59,28 +102,10 @@ class TestGradHess:
     def test_moments_psd(self, rng):
         w = rng.uniform(0.5, 2.0, size=7)
         X = rng.normal(size=(7, 4))
-        _, mean, cov = subset_moments(w, X, 3)
-        eig = np.linalg.eigvalsh(cov)
+        S0, S1, S2 = esp_grad_hess(w, X, 3)
+        mean = S1 / S0
+        eig = np.linalg.eigvalsh(S2 / S0 - np.outer(mean, mean))
         assert eig.min() > -1e-12
-
-
-class TestInclusion:
-    def test_probabilities_sum_to_L(self, rng):
-        w = rng.uniform(0.1, 4.0, size=9)
-        for L in (1, 2, 4):
-            pi = inclusion_probabilities(w, L)
-            assert_allclose(pi.sum(), L, rtol=1e-10)
-
-    def test_matches_enumeration(self, rng):
-        w = rng.uniform(0.2, 3.0, size=7)
-        L = 3
-        pi = inclusion_probabilities(w, L)
-        subsets, probs = enumerate_subset_law(w, L)
-        want = np.zeros(7)
-        for s, pr in zip(subsets, probs):
-            for k in s:
-                want[k] += pr
-        assert_allclose(pi, want, rtol=1e-10)
 
 
 class TestSamplers:
@@ -121,10 +146,10 @@ class TestSamplers:
 
     def test_enumeration_method_agrees(self, rng):
         w = np.array([1.0, 2.0, 0.5, 1.5])
-        law = dict(zip(*enumerate_subset_law(w, 2)))
+        law = subset_law(w, 2)
         counts = {}
         for _ in range(20000):
-            s = tuple(sample_fixed_size(w, 2, rng, method="enumerate"))
+            s = tuple(sample_fixed_size(w, 2, rng))
             counts[s] = counts.get(s, 0) + 1
         for s, pr in law.items():
             assert abs(counts.get(s, 0) / 20000 - pr) < 0.02

@@ -7,9 +7,8 @@ from numpy.testing import assert_allclose
 
 from sendrate import (CovariateSpec, DegenerateSenderError, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, StreamError, dense_oracle,
-                      evaluate, growth_sequence, prepare, sender_snapshot,
-                      weight)
-from sendrate.covariates import DynamicState, StaticDesign
+                      evaluate, growth_sequence, prepare)
+from sendrate.covariates import DynamicState, StaticDesign, covariate_vector
 from sendrate.likelihood import selection_probabilities
 
 from conftest import random_stream, random_traits
@@ -28,18 +27,6 @@ def rich_spec(traits=True):
                          dyadic=[("send", "both"), ("receive", "both")],
                          triadic=[("2-send", "both"), ("sibling", "indicator")],
                          scheme=IntervalScheme([30 * MIN, 120 * MIN]))
-
-
-class TestWeight:
-    def test_zero_beta(self):
-        assert weight(np.zeros(3), np.array([1.0, -2.0, 5.0])) == 1.0
-
-    def test_log_two(self):
-        beta = np.array([math.log(2.0), 0.0])
-        assert_allclose(weight(beta, np.array([1.0, 7.0])), 2.0)
-
-    def test_outside_risk_set(self):
-        assert weight(np.array([1.0]), np.array([3.0]), in_risk=False) == 0.0
 
 
 class TestTrivialValues:
@@ -125,7 +112,6 @@ class TestSparseEqualsDense:
         state = DynamicState(spec, actors)
         static = StaticDesign(spec, None, actors)
         logpl = 0.0
-        from sendrate.covariates import covariate_vector
         for e in stream:
             i = e.sender
             num = covariate_vector(state, static, e.time, i, e.receivers[0]) @ beta
@@ -164,10 +150,12 @@ class TestSharedBlocks:
                                  design.event_rows(first)):
                 assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("send", [0.7, -40.0])
+    @pytest.mark.parametrize("send", [0.7, -40.0, 800.0])
     def test_shared_blocks_match_dense(self, rng, send):
         # send = -40 silences nearly every receiver once the indicators
-        # fill in, so those blocks fall back to direct evaluation
+        # fill in, so those blocks fall back to direct evaluation; at send =
+        # 800 the ratio exp(z) to the baseline would overflow, so those
+        # blocks are evaluated directly as well
         design = self.indicator_design(rng)
         beta = rng.normal(0, 0.4, size=design.p)
         beta[design.column_indices(["send"])] = send
@@ -179,6 +167,16 @@ class TestSharedBlocks:
         assert_allclose(fast.info, slow.info,
                         rtol=1e-9, atol=1e-11 * abs(slow.logpl))
         assert_allclose(fast.terms.sum(), slow.logpl, rtol=1e-11)
+
+    def test_overflowing_weights_are_not_clipped(self, rng):
+        # a pair of receivers whose weights differ by exp(800) has a size-2
+        # normalizer below the double range once shifted by the heavier
+        # one: the exact variant must refuse it, not report logpl > 0
+        design = self.indicator_design(rng)
+        beta = rng.normal(0, 0.4, size=design.p)
+        beta[design.column_indices(["send"])] = 800.0
+        with pytest.raises(DegenerateSenderError):
+            evaluate(design, beta, "exact_multicast", order=0)
 
 
 class TestFiniteDifferences:
@@ -271,63 +269,6 @@ class TestStructure:
             assert_allclose(rep.terms[m], term, rtol=1e-10)
 
 
-class TestSenderSnapshot:
-    def test_no_dynamic_activity(self):
-        spec = basic_spec()
-        state = DynamicState(spec, 5)
-        static = StaticDesign(spec, None, 5)
-        snap = sender_snapshot(np.zeros(spec.dim), state, static, 1.0, 2)
-        # only the self-exclusion correction is present
-        assert set(snap.delta_pi) == {2}
-        assert_allclose(snap.gamma, 5.0 / 4.0)
-
-    def test_normalization_identity(self, rng):
-        spec = rich_spec(traits=False)
-        actors = 6
-        stream = random_stream(rng, actors=actors, n=60, max_size=2,
-                               gap=15 * MIN)
-        state = DynamicState(spec, actors)
-        static = StaticDesign(spec, None, actors)
-        for e in stream:
-            state.advance(e)
-        beta = rng.normal(0, 0.4, size=spec.dim)
-        t = stream.events[-1].time + 5.0
-        for i in range(actors):
-            snap = sender_snapshot(beta, state, static, t, i)
-            total = snap.gamma * snap.pi0.sum() + sum(snap.delta_pi.values())
-            assert_allclose(total, 1.0, rtol=1e-10)
-
-    def test_matches_dense_softmax(self, rng):
-        spec = rich_spec(traits=False)
-        actors = 6
-        stream = random_stream(rng, actors=actors, n=60, max_size=2,
-                               gap=15 * MIN)
-        state = DynamicState(spec, actors)
-        static = StaticDesign(spec, None, actors)
-        for e in stream:
-            state.advance(e)
-        from sendrate.covariates import covariate_vector
-        beta = rng.normal(0, 0.4, size=spec.dim)
-        t = stream.events[-1].time + 9.0
-        for i in range(actors):
-            snap = sender_snapshot(beta, state, static, t, i)
-            s = np.array([covariate_vector(state, static, t, i, j) @ beta
-                          if j != i else -np.inf for j in range(actors)])
-            pi_dense = np.exp(s - s.max())
-            pi_dense /= pi_dense.sum()
-            # absolute tolerance: the correction bookkeeping cancels for
-            # receivers whose weight has collapsed many orders of magnitude
-            assert_allclose(snap.pi_vector(), pi_dense, rtol=1e-9, atol=1e-10)
-
-    def test_degenerate_sender(self):
-        spec = basic_spec()
-        state = DynamicState(spec, 3)
-        static = StaticDesign(spec, None, 3)
-        with pytest.raises(DegenerateSenderError):
-            sender_snapshot(np.zeros(spec.dim), state, static, 1.0, 0,
-                            excluded={0, 1, 2})
-
-
 class TestGrowthSequence:
     def test_all_singletons_zero(self, rng):
         stream = random_stream(rng, actors=5, n=30)
@@ -358,3 +299,30 @@ class TestSelectionProbabilities:
         assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-12)
         for m in range(design.n_events):
             assert probs[m, design.ev_sender[m]] == 0.0
+
+    def test_uniform_at_zero_beta(self, rng):
+        stream = random_stream(rng, actors=5, n=30, gap=15 * MIN)
+        design = prepare(stream, basic_spec())
+        probs = selection_probabilities(design, np.zeros(design.p))
+        want = np.full((design.n_events, 5), 1.0 / 4.0)
+        want[np.arange(design.n_events), design.ev_sender] = 0.0
+        assert_allclose(probs, want, rtol=1e-15)
+
+    def test_matches_dense_softmax(self, rng):
+        # reference: a softmax of covariate_vector(...) @ beta over each
+        # event's risk set, on the state replayed up to that event
+        spec = rich_spec(traits=False)
+        actors = 6
+        stream = random_stream(rng, actors=actors, n=60, max_size=2,
+                               gap=15 * MIN)
+        beta = rng.normal(0, 0.4, size=spec.dim)
+        probs = selection_probabilities(prepare(stream, spec), beta)
+        state = DynamicState(spec, actors)
+        static = StaticDesign(spec, None, actors)
+        for m, e in enumerate(stream):
+            s = np.array([covariate_vector(state, static, e.time, e.sender, j)
+                          @ beta if j != e.sender else -np.inf
+                          for j in range(actors)])
+            want = np.exp(s - s.max())
+            assert_allclose(probs[m], want / want.sum(), rtol=1e-12)
+            state.advance(e)

@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from sendrate import (CovariateSpec, IntervalScheme, RiskSetPolicy, SimConfig,
-                      StreamError, prepare, sample_receiver_set, simulate)
+                      StreamError, prepare, simulate)
+from sendrate.esp import sample_fixed_size
 from sendrate.likelihood import selection_probabilities
 
 MIN = 60.0
@@ -127,7 +128,7 @@ class TestLaw:
         w = np.array([4.0, 1.0, 1.0, 0.0])
         counts = {}
         for _ in range(10000):
-            s = tuple(sample_receiver_set(w, 2, rng))
+            s = tuple(sample_fixed_size(w, 2, rng))
             counts[s] = counts.get(s, 0) + 1
         freq = {k: v / 10000 for k, v in counts.items()}
         assert abs(freq[(0, 1)] - 4 / 9) < 0.02

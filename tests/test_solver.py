@@ -115,6 +115,8 @@ class TestFit:
         assert_allclose(back.beta, res.beta)
         assert_allclose(back.cov, res.cov)
         assert back.term_names == res.term_names
+        assert back.grad_norm == res.grad_norm
+        assert back.logpl_trace == res.logpl_trace
 
 
 class TestInvariance:
