@@ -326,3 +326,34 @@ class TestSelectionProbabilities:
             want = np.exp(s - s.max())
             assert_allclose(probs[m], want / want.sum(), rtol=1e-12)
             state.advance(e)
+
+
+class TestSenderSnapshot:
+    def test_normalization_identity(self, rng):
+        # the sparse evaluator's per-sender decomposition: class baseline
+        # pi0 rescaled by gamma = 1 / rho, plus corrections Delta pi at the
+        # event's dynamic rows, is a probability vector over the risk set
+        spec = rich_spec(traits=False)
+        actors = 6
+        stream = random_stream(rng, actors=actors, n=60, max_size=2,
+                               gap=15 * MIN)
+        design = prepare(stream, spec)
+        beta = rng.normal(0, 0.4, size=spec.dim)
+        s0 = design.static._x0 @ beta
+        pi0 = np.exp(s0 - s0.max(axis=1)[:, None])
+        pi0 /= pi0.sum(axis=1)[:, None]
+        probs = selection_probabilities(design, beta)
+        for m in range(design.n_events):
+            rows = slice(design.row_start[m], design.row_start[m + 1])
+            base = pi0[design.ev_class[m]]
+            j = design.row_j[rows]
+            z = np.where(design.row_inrisk[rows], design.dX[rows] @ beta,
+                         -np.inf)
+            delta_w = base[j] * np.expm1(z)
+            gamma = 1.0 / (1.0 + delta_w.sum())
+            delta_pi = gamma * delta_w
+            total = gamma * base.sum() + delta_pi.sum()
+            assert_allclose(total, 1.0, rtol=1e-10)
+            pi = gamma * base
+            pi[j] += delta_pi
+            assert_allclose(pi, probs[m], rtol=1e-9, atol=1e-12)
