@@ -117,7 +117,8 @@ def cmd_fit(args):
         return EX_IDENT
     if not result.converged:
         print(f"did not converge in {result.iterations} iterations "
-              f"(grad norm {result.grad_norm:.3e})", file=sys.stderr)
+              f"(grad norm {result.grad_norm:.3e}, stopped by "
+              f"{result.stop_reason})", file=sys.stderr)
         return EX_NOCONV
     print(f"fit: {result.n_events} events, logpl {result.logpl:.6f}, "
           f"{result.iterations} iterations -> {args.out}")
@@ -256,7 +257,7 @@ def main(argv=None):
     except solver.NotConvergedError as exc:
         print(f"non-convergence: {exc}", file=sys.stderr)
         return EX_NOCONV
-    except (StreamError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (StreamError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA
 

@@ -10,12 +10,11 @@ shares a middle actor, and the state tracks that support explicitly.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import StreamError
+from .events import StreamError, require_keys
 
 DYADIC_EFFECTS = ("send", "receive")
 TRIADIC_EFFECTS = ("2-send", "2-receive", "sibling", "cosibling")
@@ -46,27 +45,6 @@ class IntervalScheme:
     @property
     def K(self):
         return len(self.boundaries) + 1
-
-    def bin_of(self, age):
-        """1-based bin index for an elapsed age."""
-        if age < 0:
-            raise StreamError("negative age")
-        return bisect_left(self.boundaries, age) + 1
-
-    def bin_counts(self, times, t):
-        """Counts of ``times`` (ascending) per age bin at query time t.
-
-        Strict past: a record at exactly t has age 0 and is excluded.
-        """
-        K = self.K
-        out = np.zeros(K, dtype=np.float64)
-        hi = bisect_left(times, t)
-        for k in range(1, K):
-            lo = bisect_left(times, t - self.boundaries[k - 1])
-            out[k - 1] = hi - lo
-            hi = lo
-        out[K - 1] = hi
-        return out
 
 
 @dataclass(frozen=True)
@@ -155,7 +133,11 @@ class CovariateSpec:
 
     @classmethod
     def from_json(cls, obj):
+        require_keys(obj, (), "covariate spec")
+
         def pairs(entries):
+            for d in entries:
+                require_keys(d, ("effect",), "covariate spec entry")
             return [(d["effect"], d.get("form", "indicator")) for d in entries]
         scheme = IntervalScheme(obj["intervals_seconds"]) \
             if obj.get("intervals_seconds") else IntervalScheme()
@@ -221,25 +203,52 @@ class StaticDesign:
 
 
 class DynamicState:
-    """Incrementally maintained history sufficient for the dynamic design.
+    """Interaction history as dense counts kept current at the query time.
 
-    Per directed pair, timestamps are kept in ascending order and binned
-    lazily at query time (memoized per (pair, t) until the next advance).
-    ``active(i)`` is the sparse support: every j with a possibly nonzero
-    dynamic component for sender i, per the families the spec selects.
+    ``D[a, b, 1:K+1]`` counts the a->b records in age bins 1..K at the last
+    query time t; ``D[a, b, 0]`` is 1 if any a->b record is in the strict
+    past (visibility), else 0; ``D[a, b, K+1:]`` holds the same slots of
+    b->a, so one gather ``D[i, js]`` reads both directions of every pair.
+    D takes 2*A^2*(K+1) doubles (2.8 MB at A = 156, K = 7).
+
+    K pointers into the time-ordered records follow the query time: pointer
+    0 counts the records older than t and pointer k those older than
+    t - b_k, so passing pointer k moves a record from bin k to bin k+1
+    (pointer 0: into bin 1), backward if a query goes back in time.  These
+    are the bin definition's float comparisons ``tau < t - b_k``, so every
+    count is exact.  A self-loop a->a enters no count: (i, i) has no dynamic
+    design, and no triadic middle actor h is i or j.  The sparse support
+    ``active_receivers`` is kept as a boolean matrix.
     """
 
     def __init__(self, spec, actor_count):
         self.spec = spec
-        self.actor_count = actor_count
         self.current_time = -np.inf
-        self.pair_times = {}          # (i, j) -> ascending list of times
-        self.out_set = [set() for _ in range(actor_count)]
-        self.in_set = [set() for _ in range(actor_count)]
-        self._active = [set() for _ in range(actor_count)]
-        self._bin_cache = {}
-
-    # -- updates ---------------------------------------------------------
+        self._K1 = K1 = spec.scheme.K + 1
+        self.D = np.zeros((actor_count, actor_count, 2 * K1))
+        self._times = []              # record times, ascending
+        self._pairs = []              # record (a, b), same order
+        self._ptr = [0] * (K1 - 1)
+        self._synced = (-np.inf, 0)   # query time and record count of D
+        self._seen = np.zeros((actor_count, actor_count), dtype=bool)
+        self._active = np.zeros((actor_count, actor_count), dtype=bool)
+        # positions of the dynamic columns in the block ``rows`` gathers:
+        # D[i, js], then the two-path slots of each first-leg side in use
+        self._sides = sorted({_LEGS[e][0] for e, _ in spec.triadic})
+        base = {s: 2 * K1 * (1 + n * K1) for n, s in enumerate(self._sides)}
+        k = np.arange(1, K1)
+        cols = []
+        for effect, form in spec.dyadic + spec.triadic:
+            if effect in DYADIC_EFFECTS:
+                flag = K1 * (effect == "receive")
+                bins = flag + k
+            else:
+                side, other = _LEGS[effect]
+                flag = base[side] + other * K1
+                bins = (flag + k[:, None] * 2 * K1 + k).ravel()
+            cols += [flag] * (form != "binned")
+            cols += bins.tolist() * (form != "indicator")
+        self._cols = np.array(cols, dtype=np.intp)
 
     def advance(self, event):
         """Fold one event into the state.  Time must not regress."""
@@ -248,148 +257,139 @@ class DynamicState:
             raise StreamError(
                 f"time regression: {t} < {self.current_time}")
         for b in event.receivers:
-            self._record(t, a, b)
+            if a != b:
+                self._times.append(t)
+                self._pairs.append((a, b))
+            if not self._seen[a, b]:
+                self._seen[a, b] = True
+                # the support depends only on which pairs ever interacted
+                for u, near in self._links(a, b):
+                    self._active[u, near] = self._active[near, u] = True
         self.current_time = t
-        self._bin_cache.clear()
 
-    def _record(self, t, a, b):
-        self.pair_times.setdefault((a, b), []).append(t)
-        self.out_set[a].add(b)
-        self.in_set[b].add(a)
-        for i, j in self.affected_pairs(a, b):
-            self._active[i].add(j)
+    def _links(self, a, b):
+        """Per endpoint u of the record a->b, a mask of the actors v such
+        that (u, v) and (v, u) can change their dynamic design when the
+        record is created or changes bins."""
+        seen = self._seen
+        near_a, near_b = np.zeros((2, len(seen)), dtype=bool)
+        near_a[b] = True
+        if self.spec.has_triadic:
+            # a->b as a first leg (h = b) or second leg (h = a): at a, with
+            # b's in- and out-neighbours; at b, with a's
+            near_a |= seen[b] | seen[:, b]
+            near_b |= seen[a] | seen[:, a]
+        near_a[a] = near_b[b] = False
+        return (a, near_a), (b, near_b)
 
     def affected_pairs(self, a, b):
         """Directed pairs whose dynamic design can change when the record
         a->b is created or changes bins."""
-        pairs = {(a, b), (b, a)}
-        if self.spec.has_triadic:
-            # a->b as the first leg (h = b) or the second leg (h = a)
-            for y in self.out_set[b]:
-                pairs.add((a, y))      # 2-send: a->b, b->y
-                pairs.add((y, a))      # 2-receive: b->y seen from y's side
-            for x in self.in_set[a]:
-                pairs.add((x, b))      # 2-send: x->a, a->b
-                pairs.add((b, x))      # 2-receive
-            for y in self.out_set[a]:
-                pairs.add((b, y))      # sibling: a->b, a->y
-                pairs.add((y, b))
-            for x in self.in_set[b]:
-                pairs.add((a, x))      # cosibling: a->b, x->b
-                pairs.add((x, a))
-        return [(i, j) for i, j in pairs if i != j]
+        if not self.spec.has_triadic:
+            return [(a, b), (b, a)] if a != b else []
+        pairs = set()
+        for u, near in self._links(a, b):
+            for v in np.flatnonzero(near).tolist():
+                pairs.update(((u, v), (v, u)))
+        return list(pairs)
+
+    def _sync(self, t):
+        """Move the pointers, and the records they pass, to query time t."""
+        times, ptr, n = self._times, self._ptr, len(self._times)
+        if (t, n) == self._synced:
+            return
+        cuts = [t] + [t - b for b in self.spec.scheme.boundaries]
+        # forward in bin order and backward in reverse, so a record leaves
+        # the past from bin 1, where its pair's visibility can be re-read
+        for k, cut in enumerate(cuts):
+            while ptr[k] < n and times[ptr[k]] < cut:
+                self._move(ptr[k], k, 1.0)
+                ptr[k] += 1
+        if t < self._synced[0]:
+            for k in reversed(range(len(cuts))):
+                while ptr[k] and times[ptr[k] - 1] >= cuts[k]:
+                    ptr[k] -= 1
+                    self._move(ptr[k], k, -1.0)
+        self._synced = (t, n)
+
+    def _move(self, r, k, step):
+        a, b = self._pairs[r]
+        D, K1 = self.D, self._K1
+        if k:
+            D[a, b, k] -= step
+            D[b, a, K1 + k] -= step
+        D[a, b, k + 1] += step
+        D[b, a, K1 + k + 1] += step
+        if not k:
+            D[a, b, 0] = D[b, a, K1] = 1.0 if step > 0 else float(D[a, b, 1:K1].any())
 
     # -- queries (strict past: records at exactly t do not count) ---------
 
-    def _bins(self, i, j, t):
-        key = (i, j, t)
-        hit = self._bin_cache.get(key)
-        if hit is not None:
-            return hit
-        times = self.pair_times.get((i, j))
-        if not times:
-            out = np.zeros(self.spec.scheme.K)
-        else:
-            out = self.spec.scheme.bin_counts(times, t)
-        self._bin_cache[key] = out
-        return out
-
-    def _had(self, i, j, t):
-        """Whether any i->j record strictly precedes t."""
-        times = self.pair_times.get((i, j))
-        return bool(times) and times[0] < t
-
     def dyadic_counts(self, t, i, j):
         """(send, receive) binned counts for the pair at time t."""
-        return self._bins(i, j, t), self._bins(j, i, t)
+        self._sync(t)
+        send, receive = np.split(self.D[i, j], 2)
+        return send[1:].copy(), receive[1:].copy()
 
-    def _triadic_mids(self, effect, i, j):
-        if effect == "2-send":
-            cand = self.out_set[i] & self.in_set[j]
-        elif effect == "2-receive":
-            cand = self.in_set[i] & self.out_set[j]
-        elif effect == "sibling":
-            cand = self.in_set[i] & self.in_set[j]
-        else:
-            cand = self.out_set[i] & self.out_set[j]
-        return cand - {i, j}
+    def _paths(self, side, i, js):
+        """Two-paths from i to each of js whose first leg is i->h (side 0)
+        or h->i (side 1): (len(js), K1 * 2*K1), slot (k, c) summing first-leg
+        slot k times slot c of D[h, j] over the middle actors h.  The
+        visibility products (k = 0, c = 0 or K1) are clipped to 0/1 flags."""
+        D, K1, A = self.D, self._K1, len(self.D)
+        first = D[i, :, side * K1:(side + 1) * K1]
+        # only middle actors with a visible first leg contribute
+        hs = np.flatnonzero(first[:, 0])
+        m = (first[hs].T @ D.reshape(A, -1)[hs]).reshape(K1, A, 2 * K1)
+        np.minimum(m[0, :, ::K1], 1.0, out=m[0, :, ::K1])
+        return m[:, js].transpose(1, 0, 2).reshape(len(js), 2 * K1 * K1)
 
-    def _triadic_legs(self, effect, i, j, h):
-        if effect == "2-send":
-            return (i, h), (h, j)
-        if effect == "2-receive":
-            return (h, i), (j, h)
-        if effect == "sibling":
-            return (h, i), (h, j)
-        return (i, h), (j, h)
+    def rows(self, t, i, js):
+        """Dynamic design rows toward receivers ``js`` at time t of sender
+        i, or of sender i[r] for receiver js[r]: a (len(js), p) array,
+        static columns zero."""
+        self._sync(t)
+        js = np.asarray(js, dtype=np.intp)
+        if self._sides and np.ndim(i):
+            out = np.empty((len(js), self.spec.dim))
+            for a in np.unique(i):
+                out[i == a] = self.rows(t, a, js[i == a])
+            return out
+        block = self.D[i, js]
+        if self._sides:
+            block = np.concatenate(
+                [block] + [self._paths(s, i, js) for s in self._sides], axis=1)
+        out = np.zeros((len(js), self.spec.dim))
+        out[:, self.spec.static_dim:] = block[:, self._cols]
+        return out
 
     def triadic_counts(self, t, i, j, effects=TRIADIC_EFFECTS):
         """Dict effect -> K x K matrix of middle-actor leg-pair counts."""
-        K = self.spec.scheme.K
-        bins = self._bins
-        out = {}
-        for effect in effects:
-            mids = self._triadic_mids(effect, i, j)
-            if mids:
-                legs = [self._triadic_legs(effect, i, j, h) for h in mids]
-                first = np.asarray([bins(*f, t) for f, _ in legs])
-                second = np.asarray([bins(*s, t) for _, s in legs])
-                out[effect] = first.T @ second
-            else:
-                out[effect] = np.zeros((K, K))
-        return out
+        self._sync(t)
+        K1 = self._K1
+        by_side = [self._paths(s, i, [j]).reshape(K1, 2, K1) for s in (0, 1)]
+        return {e: by_side[_LEGS[e][0]][1:, _LEGS[e][1], 1:] for e in effects}
 
-    def _triadic_indicator(self, effect, i, j, t):
-        for h in self._triadic_mids(effect, i, j):
-            first, second = self._triadic_legs(effect, i, j, h)
-            if self._had(*first, t) and self._had(*second, t):
-                return 1.0
-        return 0.0
-
-    def delta_x(self, t, i, j, out=None):
-        """Dynamic design vector for pair (i, j) at time t (full length p,
-        static slots zero)."""
-        spec = self.spec
-        if out is None:
-            out = np.zeros(spec.dim)
-        pos = spec.static_dim
-        K = spec.scheme.K
-        for effect, form in spec.dyadic:
-            pair = (i, j) if effect == "send" else (j, i)
-            if form in ("indicator", "both"):
-                out[pos] = 1.0 if self._had(*pair, t) else 0.0
-                pos += 1
-            if form in ("binned", "both"):
-                out[pos:pos + K] = self._bins(*pair, t)
-                pos += K
-        tri = None
-        for effect, form in spec.triadic:
-            if form in ("indicator", "both"):
-                out[pos] = self._triadic_indicator(effect, i, j, t)
-                pos += 1
-            if form in ("binned", "both"):
-                if tri is None:
-                    wanted = [e for e, f in spec.triadic
-                              if f in ("binned", "both")]
-                    tri = self.triadic_counts(t, i, j, effects=wanted)
-                out[pos:pos + K * K] = tri[effect].ravel()
-                pos += K * K
-        return out
+    def delta_x(self, t, i, j):
+        """Dynamic design vector of pair (i, j) at time t, static slots 0."""
+        return self.rows(t, i, [j])[0]
 
     def active_receivers(self, i):
         """Sparse support: superset of {j : delta_x(., i, j) != 0}."""
-        return self._active[i]
+        return set(np.flatnonzero(self._active[i]).tolist())
 
     def delta_rows(self, t, i):
         """(sorted receiver ids, matrix of delta_x rows) for sender i."""
-        js = sorted(self._active[i])
-        dx = np.zeros((len(js), self.spec.dim))
-        for r, j in enumerate(js):
-            self.delta_x(t, i, j, out=dx[r])
-        return js, dx
+        js = np.flatnonzero(self._active[i])
+        return js.tolist(), self.rows(t, i, js)
+
+
+#: Per triadic effect, the D slot half of its first leg (0: i->h, 1: h->i)
+#: and of its second leg (0: h->j, 1: j->h).
+_LEGS = {"2-send": (0, 0), "cosibling": (0, 1), "2-receive": (1, 1),
+         "sibling": (1, 0)}
 
 
 def covariate_vector(state, static_design, t, i, j):
     """Full design vector x_t(i, j) = static + dynamic."""
-    x = static_design.x0_pair(i, j).copy()
-    return state.delta_x(t, i, j, out=x)
+    return static_design.x0_pair(i, j) + state.delta_x(t, i, j)

@@ -11,6 +11,13 @@ itself), so the baseline can always pretend the risk set is everybody.
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
 likelihood evaluates each block's normalizer and moments once.
+
+The covariate state behind the replay is ``DynamicState``: a dense tensor
+of per-pair bin counts and visibility flags, 2*A^2*(K+1) doubles, which K
+pointers into the time-ordered records keep current at each event time.
+An event's rows are one ``DynamicState.rows`` call: a gather of the
+tensor at the active receivers and, for triadic terms, one matrix product
+over the sender's middle actors per first-leg direction.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class PreparedDesign:
         row_j_parts, row_risk_parts, dx_parts, recv_parts = [], [], [], []
         ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
-        last_block = {}     # sender -> (block id, its rows as bytes)
+        last_block = {}     # sender -> (block id, its js, inrisk, dx)
 
         state = DynamicState(spec, A)
         for m, ev in enumerate(stream):
@@ -93,13 +100,14 @@ class PreparedDesign:
                     dx_full[pos[j]] = dx[r]
                 js, dx = merged, dx_full
             inrisk = np.array([j not in excluded for j in js], dtype=bool)
-            key = (js, inrisk.tobytes(), dx.tobytes())
             prev = last_block.get(i)
-            if prev is not None and prev[1] == key:
+            if (prev is not None and prev[1] == js
+                    and np.array_equal(prev[2], inrisk)
+                    and np.array_equal(prev[3], dx)):
                 ev_block[m] = prev[0]
             else:
                 ev_block[m] = len(blk_event)
-                last_block[i] = (len(blk_event), key)
+                last_block[i] = (len(blk_event), js, inrisk, dx)
                 blk_event.append(m)
 
             x0c = static.x0(static.class_of[i])

@@ -24,7 +24,7 @@ def esp_table(w, L):
     table = np.zeros((len(w) + 1, L + 1))
     table[:, 0] = 1.0
     for l in range(1, L + 1):
-        np.cumsum(w * table[:-1, l - 1], out=table[1:, l])
+        (w * table[:-1, l - 1]).cumsum(out=table[1:, l])
     return table
 
 
@@ -77,19 +77,19 @@ def sample_fixed_size(w, L, rng):
     if L == support:
         return sorted(np.flatnonzero(w > 0).tolist())
     ws = w / w.max()
-    R = len(ws)
-    # suffix[r, l] = e_l(ws[r:]): the table of the reversed weights, reversed
-    suffix = esp_table(ws[::-1], L)[::-1]
+    # suffix[r][l] = e_l(ws[r:]): the table of the reversed weights, reversed;
+    # Python floats do the same double arithmetic as numpy scalars, faster
+    suffix = esp_table(ws[::-1], L)[::-1].tolist()
     chosen = []
     q = L
-    for r in range(R):
+    for r, wr in enumerate(ws.tolist()):
         if q == 0:
             break
-        if suffix[r + 1, q] == 0.0:
+        if suffix[r + 1][q] == 0.0:
             # all remaining positive-weight items are forced
             p_in = 1.0
         else:
-            p_in = ws[r] * suffix[r + 1, q - 1] / suffix[r, q]
+            p_in = wr * suffix[r + 1][q - 1] / suffix[r][q]
         if rng.random() < p_in:
             chosen.append(r)
             q -= 1

@@ -21,6 +21,16 @@ class StreamError(ValueError):
     """Malformed or inconsistent interaction data."""
 
 
+def require_keys(obj, keys, what):
+    """Raise StreamError unless the JSON value ``obj`` is an object with
+    every one of ``keys``."""
+    if not isinstance(obj, dict):
+        raise StreamError(f"{what}: expected a JSON object")
+    missing = [k for k in keys if k not in obj]
+    if missing:
+        raise StreamError(f"{what}: missing {', '.join(map(repr, missing))}")
+
+
 class MalformedRowError(StreamError):
     def __init__(self, line, message):
         self.line = line

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import esp
 from .covariates import CovariateSpec, DynamicState, StaticDesign
-from .events import Event, EventStream, RiskSetPolicy, StreamError
+from .events import Event, EventStream, RiskSetPolicy, StreamError, require_keys
 
 
 @dataclass
@@ -80,6 +81,8 @@ class SimConfig:
 
     @classmethod
     def from_json(cls, obj, traits=None):
+        require_keys(obj, ("actor_count", "beta_true", "covariates"),
+                     "simulation config")
         return cls(actor_count=obj["actor_count"],
                    beta_true=np.asarray(obj["beta_true"]),
                    spec=CovariateSpec.from_json(obj["covariates"]),
@@ -110,6 +113,7 @@ class _Engine:
         self.mask = np.vstack([policy.mask(0.0, i, A) for i in range(A)])
         self.lam = config.baseline_vector()
         self.sizes = np.array(sorted(config.size_weights))
+        self.l_max = config.l_max
         self.qvec = np.array([config.size_weights[s] for s in self.sizes])
         risk_sizes = self.mask.sum(axis=1)
         if (self.sizes.max() > risk_sizes[self.lam > 0]).any():
@@ -118,9 +122,7 @@ class _Engine:
         self.logw = np.einsum("cap,p->ca",
                               self.static._x0, beta)[self.static.class_of]
         self.logw[~self.mask] = -np.inf
-        with np.errstate(divide="ignore"):
-            self.logbase = (np.log(self.lam)[:, None]
-                            + np.log(self.qvec)[None, :])
+        self.logbase = np.log(self.lam)[:, None] + np.log(self.qvec)[None, :]
         self.logS = np.zeros((A, len(self.sizes)))
         self.wrel = np.zeros((A, A))     # exp(logw - row max), 0 off the risk set
         for i in range(A):
@@ -132,38 +134,36 @@ class _Engine:
     def _refresh_sender(self, i):
         row = self.logw[i]
         top = row.max()
-        if not np.isfinite(top):
+        if not math.isfinite(top):
             self.logS[i] = -np.inf
             return
         self.wrel[i] = np.exp(row - top)
-        e = esp.esp_values(self.wrel[i], int(self.sizes.max()))
-        with np.errstate(divide="ignore"):
-            self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
+        e = esp.esp_values(self.wrel[i], self.l_max)
+        self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
 
     def _refresh_pairs(self, pairs, t_eval):
+        pairs = [(a, b) for a, b in pairs if self.mask[a, b]]
+        if not pairs:
+            return
+        a, b = np.array(pairs, dtype=np.intp).T
+        x = self.static.x0_pair(a, b) + self.state.rows(t_eval, a, b)
+        # one dot per row: the sums of a per-pair refresh, bit for bit
         beta = self.config.beta_true
-        touched = set()
-        for (a, b) in pairs:
-            if not self.mask[a, b]:
-                continue
-            x = self.static.x0_pair(a, b).copy()
-            self.state.delta_x(t_eval, a, b, out=x)
-            self.logw[a, b] = x @ beta
-            touched.add(a)
-        for i in touched:
+        self.logw[a, b] = [row @ beta for row in x]
+        for i in set(a.tolist()):
             self._refresh_sender(i)
 
     def _total_and_probs(self):
         lograte = self.logbase + self.logS
         peak = lograte.max()
-        if not np.isfinite(peak):
+        if not math.isfinite(peak):
             return 0.0, None
         if peak > _LOG_RATE_CAP:
             raise StreamError(
                 "total intensity overflowed; the configuration is explosive")
         rel = np.exp(lograte - peak)
-        total = float(np.exp(peak) * rel.sum())
-        return total, rel.ravel() / rel.sum()
+        mass = rel.sum()
+        return float(np.exp(peak) * mass), rel.ravel() / mass
 
     def run(self):
         config = self.config
@@ -198,7 +198,7 @@ class _Engine:
             ev = Event(t, int(i), tuple(int(j) for j in recv))
             events.append(ev)
             self.state.advance(ev)
-            t_eval = np.nextafter(t, np.inf)
+            t_eval = math.nextafter(t, math.inf)
             dirty = set()
             for b in ev.receivers:
                 dirty.update(self.state.affected_pairs(i, b))
@@ -211,7 +211,7 @@ class _Engine:
         return EventStream(events, config.actor_count, traits=config.traits)
 
     def _process_crossings(self, tc):
-        t_eval = np.nextafter(tc, np.inf)
+        t_eval = math.nextafter(tc, math.inf)
         dirty = set()
         while self.crossings and self.crossings[0][0] <= tc:
             _, a, b = heapq.heappop(self.crossings)
@@ -221,7 +221,9 @@ class _Engine:
 
 def simulate(config):
     """Generate an event stream from the model; deterministic per seed."""
-    return _Engine(config).run()
+    # a zero rate or size-L total has log -inf, which the engine handles
+    with np.errstate(divide="ignore"):
+        return _Engine(config).run()
 
 
 def write_truth(config, path):

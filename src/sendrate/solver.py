@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import likelihood
-from .events import StreamError
+from .events import StreamError, require_keys
 
 
 class NotConvergedError(StreamError):
@@ -58,6 +58,9 @@ class FitResult:
     overdispersion: float
     unidentifiable: list = field(default_factory=list)
     logpl_trace: list = field(default_factory=list)
+    #: why Newton stopped: "converged", "max_iters" or "line_search" (no
+    #: step length raised the objective); None if read from an older file
+    stop_reason: str | None = None
 
     @property
     def residual_deviance(self):
@@ -83,10 +86,14 @@ class FitResult:
             "overdispersion": self.overdispersion,
             "unidentifiable": list(self.unidentifiable),
             "logpl_trace": list(self.logpl_trace),
+            "stop_reason": self.stop_reason,
         }
 
     @classmethod
     def from_json(cls, obj):
+        require_keys(obj, ("beta", "se", "cov", "logpl", "n_events",
+                           "n_decisions", "iterations", "converged", "terms",
+                           "variant", "overdispersion"), "fit result")
         p = len(obj["beta"])
         return cls(beta=np.array(obj["beta"]), se=np.array(obj["se"]),
                    cov=np.array(obj["cov"]).reshape(p, p),
@@ -97,7 +104,8 @@ class FitResult:
                    grad_norm=float(obj.get("grad_norm", "nan")),
                    overdispersion=obj["overdispersion"],
                    unidentifiable=obj.get("unidentifiable", []),
-                   logpl_trace=obj.get("logpl_trace", []))
+                   logpl_trace=obj.get("logpl_trace", []),
+                   stop_reason=obj.get("stop_reason"))
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -145,7 +153,7 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
 
     rep = likelihood.evaluate(design, beta, variant, order=2)
     trace = [rep.logpl]
-    converged = False
+    converged = gave_up = False
     iterations = 0
     ridge_seen = 0.0
     for iterations in range(1, config.max_iters + 1):
@@ -171,6 +179,7 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
                 break
             alpha *= config.shrink
         if accepted is None:
+            gave_up = True
             break
         beta = accepted
         rep = likelihood.evaluate(design, beta, variant, order=2)
@@ -180,6 +189,8 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
 
     gnorm = float(np.abs(rep.score).max())
     converged = converged or gnorm <= scale
+    stop_reason = ("converged" if converged else
+                   "line_search" if gave_up else "max_iters")
 
     info = rep.info
     diag = np.diag(info)
@@ -201,7 +212,8 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
                      iterations=iterations, converged=converged,
                      term_names=list(design.term_names), variant=variant,
                      grad_norm=gnorm, overdispersion=phi,
-                     unidentifiable=unident, logpl_trace=trace)
+                     unidentifiable=unident, logpl_trace=trace,
+                     stop_reason=stop_reason)
 
 
 def standard_errors(result, overdispersion_adjust=False):

@@ -153,6 +153,32 @@ class TestExitCodes:
                    "--traits", "traits.csv", "--out", "fit.json") == 3
 
 
+    def test_spec_entry_without_effect_is_1(self, workdir):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        spec = dict(SIM_CONFIG["covariates"], dyadic=[{"form": "indicator"}])
+        (workdir / "bad_spec.json").write_text(json.dumps(spec))
+        assert run("fit", "--events", "e.csv", "--spec", "bad_spec.json",
+                   "--out", "fit.json") == 1
+
+    def test_sim_config_without_field_is_1(self, workdir):
+        sim = {k: v for k, v in SIM_CONFIG.items() if k != "beta_true"}
+        (workdir / "bad_sim.json").write_text(json.dumps(sim))
+        assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
+
+    def test_fit_file_without_field_is_1(self, workdir):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        (workdir / "bad_fit.json").write_text(json.dumps({"beta": [0.0, 0.0]}))
+        assert run("diagnose", "--fit", "bad_fit.json", "--events", "e.csv",
+                   "--spec", "spec.json", "--out", "diag.") == 1
+
+    def test_programming_error_propagates(self, workdir, monkeypatch):
+        def broken(args):
+            raise KeyError("a bug, not bad data")
+        monkeypatch.setattr("sendrate.cli.cmd_simulate", broken)
+        with pytest.raises(KeyError):
+            run("simulate", "--config", "sim.json", "--out", "e.csv")
+
+
 class TestManifest:
     def test_contents(self, workdir):
         run("simulate", "--config", "sim.json", "--out", "e.csv")

@@ -33,10 +33,17 @@ class TestIntervalScheme:
             IntervalScheme([-1.0, 5.0])
 
     def test_bin_counts_strict_past(self):
-        s = IntervalScheme([30 * MIN, 2 * HOUR])
-        # record exactly at the query time has age zero: excluded
-        assert s.bin_counts([100.0], 100.0).sum() == 0
-        assert s.bin_counts([99.0], 100.0)[0] == 1
+        spec = CovariateSpec(dyadic=[("send", "binned")],
+                             scheme=IntervalScheme([30 * MIN, 2 * HOUR]))
+        state = make_state(spec, 2)
+        state.advance(Event(99.0, 0, (1,)))
+        state.advance(Event(100.0, 0, (1,)))
+        # the record exactly at the query time has age zero: excluded
+        assert state.dyadic_counts(100.0, 0, 1)[0].tolist() == [1, 0, 0]
+        # a record exactly b_1 old is still in bin 1; a hair older, in bin 2
+        assert state.dyadic_counts(99.0 + 30 * MIN, 0, 1)[0].tolist() == [2, 0, 0]
+        later = np.nextafter(99.0 + 30 * MIN, np.inf)
+        assert state.dyadic_counts(later, 0, 1)[0].tolist() == [1, 1, 0]
 
 
 class TestSpec:
@@ -285,3 +292,90 @@ class TestActiveReceivers:
         state.advance(Event(1.0, 0, (2,)))   # i -> h
         state.advance(Event(2.0, 2, (1,)))   # h -> j
         assert 1 in state.active_receivers(0)
+
+
+class TestCountTensor:
+    """The dense count state against the brute-force recomputation."""
+
+    def spec(self):
+        return CovariateSpec(
+            dyadic=[("send", "both"), ("receive", "both")],
+            triadic=[(e, "both") for e in
+                     ("2-send", "2-receive", "sibling", "cosibling")],
+            scheme=IntervalScheme([20 * MIN, HOUR, 3 * HOUR]))
+
+    def tied_stream(self, rng, actors, n, self_loops=False):
+        # times on a 10-minute grid: same-timestamp events, and ages that
+        # land exactly on the boundaries
+        events, t = [], 0.0
+        for _ in range(n):
+            t += 10 * MIN * int(rng.integers(0, 3))
+            i = int(rng.integers(actors))
+            pool = range(actors) if self_loops else [j for j in range(actors) if j != i]
+            size = int(rng.integers(1, 4))
+            recv = rng.choice(list(pool), size=size, replace=False).tolist()
+            events.append(Event(t, i, tuple(recv)))
+        return EventStream(events, actors, allow_self_loops=self_loops)
+
+    def test_every_event_every_receiver(self, rng):
+        actors = 6
+        spec = self.spec()
+        stream = self.tied_stream(rng, actors, 70)
+        static = StaticDesign(spec, None, actors)
+        state = DynamicState(spec, actors)
+        for e in stream:
+            i = e.sender
+            for j in range(actors):
+                if j != i:
+                    got = covariate_vector(state, static, e.time, i, j)
+                    want = brute_covariates(stream, spec, static, e.time, i, j)
+                    assert np.array_equal(got, want), (e, j)
+            state.advance(e)
+
+    def test_query_back_in_time(self, rng):
+        actors = 5
+        spec = self.spec()
+        stream = self.tied_stream(rng, actors, 60)
+        static = StaticDesign(spec, None, actors)
+        state = DynamicState(spec, actors)
+        for e in stream:
+            state.advance(e)
+        end = stream.events[-1].time
+        for t in (end + 4 * HOUR, end + 1.0, end, end - 40 * MIN, end + HOUR,
+                  end / 2, 0.0):
+            for i in range(actors):
+                for j in range(actors):
+                    if j != i:
+                        assert np.array_equal(
+                            covariate_vector(state, static, t, i, j),
+                            brute_covariates(stream, spec, static, t, i, j))
+
+    def test_self_loops_are_no_middle_actor(self, rng):
+        actors = 5
+        spec = self.spec()
+        stream = self.tied_stream(rng, actors, 60, self_loops=True)
+        assert any(e.sender in e.receivers for e in stream)
+        static = StaticDesign(spec, None, actors)
+        state = DynamicState(spec, actors)
+        for e in stream:
+            state.advance(e)
+        t = stream.events[-1].time + 30 * MIN
+        for i in range(actors):
+            for j in range(actors):
+                if j != i:
+                    assert np.array_equal(
+                        covariate_vector(state, static, t, i, j),
+                        brute_covariates(stream, spec, static, t, i, j))
+
+    def test_rows_for_many_senders(self, rng):
+        actors = 6
+        spec = self.spec()
+        stream = self.tied_stream(rng, actors, 50)
+        state = DynamicState(spec, actors)
+        for e in stream:
+            state.advance(e)
+        t = stream.events[-1].time + 25 * MIN
+        pairs = [(i, j) for i in range(actors) for j in range(actors) if i != j]
+        senders, receivers = np.array(pairs).T
+        want = np.array([state.delta_x(t, i, j) for i, j in pairs])
+        assert np.array_equal(state.rows(t, senders, receivers), want)

@@ -5,8 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
-                      IntervalScheme, evaluate, fit, prepare, standard_errors,
-                      wald_tests)
+                      IntervalScheme, evaluate, fit, likelihood, prepare,
+                      standard_errors, wald_tests)
 from sendrate.solver import (DevianceRow, FitResult, SolverConfig,
                              deviance_table)
 
@@ -67,7 +67,7 @@ class TestFit:
         res = fit(design, "pairwise")
         trace = np.array(res.logpl_trace)
         assert (np.diff(trace) > 0).all()
-        assert res.converged
+        assert res.converged and res.stop_reason == "converged"
 
     def test_optimality(self, rng):
         stream = random_stream(rng, actors=8, n=150, gap=20 * MIN)
@@ -104,6 +104,22 @@ class TestFit:
         design = prepare(stream, spec_small())
         res = fit(design, "pairwise", SolverConfig(max_iters=1, grad_tol=1e-14))
         assert not res.converged and res.iterations == 1
+        assert res.stop_reason == "max_iters"
+
+    def test_line_search_give_up_reported(self, rng, monkeypatch):
+        stream = random_stream(rng, actors=8, n=150, gap=20 * MIN)
+        design = prepare(stream, spec_small())
+        evaluate_all = likelihood.evaluate
+
+        def every_candidate_degenerate(design, beta, variant, order=2):
+            if order == 0:      # the line search's candidate evaluations
+                raise likelihood.DegenerateSenderError("forced")
+            return evaluate_all(design, beta, variant, order)
+        monkeypatch.setattr(likelihood, "evaluate", every_candidate_degenerate)
+        res = fit(design, "pairwise")
+        assert res.stop_reason == "line_search"
+        assert not res.converged and res.iterations == 1
+        assert len(res.logpl_trace) == 1 and not res.beta.any()
 
     def test_json_roundtrip(self, tmp_path, rng):
         stream = random_stream(rng, actors=6, n=80, gap=20 * MIN)
@@ -117,6 +133,10 @@ class TestFit:
         assert back.term_names == res.term_names
         assert back.grad_norm == res.grad_norm
         assert back.logpl_trace == res.logpl_trace
+        assert back.stop_reason == res.stop_reason == "converged"
+        older = res.to_json()
+        del older["stop_reason"]
+        assert FitResult.from_json(older).stop_reason is None
 
 
 class TestInvariance:
