@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .bootstrap import (BootstrapConfig, BootstrapReport, bootstrap_bias,
-                        coverage_study, draw_replicate)
+                        draw_replicate)
 from .covariates import (CovariateSpec, DynamicState, IntervalScheme,
                          StaticDesign, covariate_vector,
                          second_order_static_terms)

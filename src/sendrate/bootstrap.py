@@ -1,5 +1,4 @@
-"""Parametric bootstrap for multicast bias estimation and correction, plus
-Monte Carlo coverage utilities.
+"""Parametric bootstrap for multicast bias estimation and correction.
 
 A replicate keeps the observed times, senders, set sizes, and the entire
 covariate process of the original stream; only the receiver sets are
@@ -29,6 +28,16 @@ def substream(seed, *key):
 
 @dataclass
 class BootstrapConfig:
+    """Replicate count, seed and receiver-set law of a bootstrap run.
+
+    ``sampler`` picks the law a replicate's receiver sets are drawn from.
+    The default ``sequential_wor`` is successive sampling: each next
+    receiver is drawn in proportion to its weight among those not yet
+    drawn.  ``conditional_poisson`` is the fixed-size law, under which a
+    set's probability is proportional to the product of its weights; it
+    is the law ``simulate`` draws from and the exact likelihood models.
+    """
+
     replicates: int = 300
     seed: int = 0
     sampler: str = "sequential_wor"
@@ -81,7 +90,13 @@ class BootstrapReport:
 def draw_replicate(design, beta, rng, sampler="sequential_wor", probs=None):
     """Redraw every receiver set: same size, elements proportional to the
     fitted weights over the event's risk set.  Returns a list of index
-    arrays aligned with the design's events."""
+    arrays aligned with the design's events.
+
+    ``sequential_wor`` draws by successive sampling (each next receiver in
+    proportion to its weight among those left); ``conditional_poisson``
+    draws from the fixed-size product-of-weights law that ``simulate`` and
+    the exact likelihood use.  The two agree for single receivers.
+    """
     if probs is None:
         probs = likelihood.selection_probabilities(design, beta)
     out = []
@@ -155,36 +170,6 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         term_names=list(design.term_names),
         flagged=skipped > config.skip_tolerance * config.replicates,
     )
-
-
-def coverage_study(sim_config, spec, n_replicates, nominal=0.95,
-                   variant="pairwise", solver_config=None, traits=None,
-                   return_details=False):
-    """Fraction of Wald intervals covering the generating coefficients."""
-    from .design import prepare
-    from .simulator import simulate
-
-    z = solver._normal_quantile(0.5 + nominal / 2.0)
-    beta_true = np.asarray(sim_config.beta_true, dtype=np.float64)
-    hits = np.zeros(len(beta_true))
-    fits = 0
-    details = []
-    for r in range(n_replicates):
-        cfg = sim_config.with_seed(substream_seed(sim_config.seed, r))
-        stream = simulate(cfg)
-        design = prepare(stream, spec, traits=traits)
-        res = solver.fit(design, variant, solver_config)
-        if not res.converged:
-            continue
-        fits += 1
-        cover = np.abs(res.beta - beta_true) <= z * res.se
-        hits += cover
-        if return_details:
-            details.append(res)
-    if fits == 0:
-        raise StreamError("all simulation fits failed")
-    coverage = hits / fits
-    return (coverage, details) if return_details else coverage
 
 
 def substream_seed(seed, r):

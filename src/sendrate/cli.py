@@ -221,7 +221,13 @@ def build_parser():
     p.add_argument("--replicates", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=bootstrap.SAMPLERS,
-                   default="sequential_wor")
+                   default="sequential_wor",
+                   help="receiver-set law of the replicates: sequential_wor "
+                        "is successive sampling (each next receiver drawn in "
+                        "proportion to its weight among those left); "
+                        "conditional_poisson is the fixed-size "
+                        "product-of-weights law that simulate and the exact "
+                        "likelihood use")
     p.add_argument("--out", default="bootstrap.json")
     p.set_defaults(func=cmd_bootstrap)
 

@@ -2,11 +2,12 @@
 flat per-event arrays the likelihood can evaluate repeatedly.
 
 The replay records, for every event, the sender's class, the observed
-receiver set, and the sparse dynamic corrections (receiver id, dynamic
-design row, risk-set eligibility) relative to the class baseline over the
+receiver set, and the sparse dynamic rows (receiver id, dynamic design row,
+risk-set eligibility) that add to the sender class's static design over the
 full actor set.  Rows exist for every receiver in the sparse support plus
 every actor the risk policy excludes at that instant (at minimum the sender
-itself), so the baseline can always pretend the risk set is everybody.
+itself): an excluded actor's row carries the risk-set mask, since the
+static design covers every actor.
 
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
@@ -147,7 +148,6 @@ class PreparedDesign:
         self.dX = np.vstack(dx_parts) if dx_parts else np.zeros((0, p))
         self.recv_j = np.concatenate(recv_parts)
         self.row_ev = np.repeat(np.arange(n), np.diff(row_start))
-        self.row_class = ev_class[self.row_ev]
 
     # -- derived views -----------------------------------------------------
 
@@ -202,7 +202,7 @@ class PreparedDesign:
         out.n_events = self.n_events
         for name in ("ev_class", "ev_sender", "ev_size", "ev_risk",
                      "ev_block", "blk_event", "row_start", "recv_start",
-                     "row_j", "row_inrisk", "recv_j", "row_ev", "row_class"):
+                     "row_j", "row_inrisk", "recv_j", "row_ev"):
             setattr(out, name, getattr(self, name))
         out.xsum = self.xsum[:, cols]
         out.dX = self.dX[:, cols]

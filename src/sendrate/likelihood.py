@@ -9,17 +9,17 @@ Three variants share one prepared design:
   symmetric polynomial of the risk-set weights, evaluated with its first two
   coefficient derivatives by one dynamic-programming sweep.
 
-The production path never materializes the full design: once per block
-of events with identical sparse rows it combines class-level baseline
-quantities with the sparse dynamic corrections (the ratio of baseline to
-corrected normalizer and the sparse selection-probability corrections).
-A dense per-event oracle with no decomposition is kept alongside for
-verification.
+The first two are evaluated once per block of events with identical sparse
+rows, directly over all actors: the block's max-shifted risk-set weights
+give its normalizer, and its full design matrices, assembled from the class
+design and the sparse rows a chunk of whole blocks at a time, give the
+moments.  Scratch memory is bounded by the chunk, not by the number of
+rows.  The information sums each block's rows centred on the block's mean.
+A dense per-event oracle is kept alongside for verification.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,12 +28,10 @@ from .events import StreamError
 
 VARIANTS = ("pairwise", "exact_multicast", "approx_multicast")
 
-#: Largest dynamic log-weight correction the sparse evaluator takes as a
-#: ratio exp(z) to the class baseline.  exp(600) ~ 4e260, so neither a row
-#: ratio nor a block's rho = 1 + sum(pi0 * (exp(z) - 1)), with pi0 <= 1 and
-#: far fewer than 1e48 rows, can overflow; a block with a larger in-risk
-#: correction is evaluated directly instead.
-_Z_MAX = 600.0
+#: Bytes of dense block designs the block evaluator assembles at once; its
+#: scratch is about three times this.  On the 156-actor, p = 306 benchmark
+#: shape, 4-8 MB chunks evaluated order 2 faster than 32-64 MB ones.
+_CHUNK_BYTES = 8 << 20
 
 
 class DegenerateSenderError(StreamError):
@@ -51,7 +49,7 @@ class LikelihoodReport:
 
 
 # ---------------------------------------------------------------------------
-# risk-set weights and class-level baseline quantities
+# risk-set weights and dense designs
 
 def _event_rows(design, events):
     """Indices of the given events' sparse rows, and the position in
@@ -65,8 +63,10 @@ def _event_rows(design, events):
 def _dense_design(design, events):
     """(events, A, p) full design matrices of the given events."""
     rows, local = _event_rows(design, events)
+    A = design.actor_count
     X = design.static._x0[design.ev_class[events]]
-    X[local, design.row_j[rows]] += design.dX[rows]
+    flat = local * A + design.row_j[rows]
+    X.reshape(len(events) * A, design.p)[flat] += np.take(design.dX, rows, axis=0)
     return X
 
 
@@ -79,75 +79,19 @@ def _risk_weights(design, beta, events=None):
     """
     if events is None:
         events, rows, local = np.arange(design.n_events), slice(None), design.row_ev
+        z = design.dX @ beta
     else:
         rows, local = _event_rows(design, events)
+        z = np.take(design.dX, rows, axis=0) @ beta
     S = (design.static._x0 @ beta)[design.ev_class[events]]
-    row_j = design.row_j[rows]
-    if design.p:
-        S[local, row_j] += design.dX[rows] @ beta
-    off = ~design.row_inrisk[rows]
-    S[local[off], row_j[off]] = -np.inf
+    flat = local * design.actor_count + design.row_j[rows]
+    S.ravel()[flat] += z
+    S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
     c = S.max(axis=1)
     if not np.isfinite(c).all():
         bad = int(events[np.argmax(~np.isfinite(c))])
         raise DegenerateSenderError(f"empty risk set at event {bad}")
     return c, np.exp(S - c[:, None])
-
-
-def _class_tables(design, beta, order):
-    """Per sender class: log normalizer, selection probabilities over all
-    actors, and first two moments of the design under them."""
-    X0 = design.static._x0                       # (C, A, p)
-    s0 = X0 @ beta                               # (C, A)
-    m0 = s0.max(axis=1)
-    pi0 = np.exp(s0 - m0[:, None])
-    Z = pi0.sum(axis=1)
-    logW0 = m0 + np.log(Z)
-    pi0 /= Z[:, None]
-    E0 = A0 = None
-    if order >= 1:
-        E0 = np.einsum("ca,cap->cp", pi0, X0)
-    if order >= 2:
-        A0 = np.einsum("ca,cap,caq->cpq", pi0, X0, X0)
-    return logW0, pi0, E0, A0
-
-
-class _Blocks:
-    """Beta-independent sparse rows of the design's distinct blocks.
-
-    Events sharing a block (``design.ev_block``) have the same normalizer
-    and moments, so the rows are evaluated once per block and weighted by
-    the block's total receiver-slot count ``mass``.
-    """
-
-    def __init__(self, design):
-        first = design.blk_event
-        counts = design.row_start[first + 1] - design.row_start[first]
-        self.start = np.zeros(len(first) + 1, dtype=np.intp)
-        np.cumsum(counts, out=self.start[1:])
-        self.row_blk = np.repeat(np.arange(len(first)), counts)
-        if len(first) == design.n_events:
-            rows = slice(None)    # nothing shared: view the rows, no copy
-        else:
-            rows = (np.arange(self.start[-1]) - self.start[self.row_blk]
-                    + design.row_start[first][self.row_blk])
-        self.first = first
-        self.cls = design.ev_class[first]
-        row_cls = self.cls[self.row_blk]
-        row_j = design.row_j[rows]
-        self.dX = design.dX[rows]
-        self.x0 = design.static._x0[row_cls, row_j]
-        self.flat = row_cls * design.actor_count + row_j
-        self.off = np.flatnonzero(~design.row_inrisk[rows])
-        self.mass = np.bincount(design.ev_block, weights=design.ev_size,
-                                minlength=len(first))
-
-
-def _blocks(design):
-    cached = getattr(design, "_blocks", None)
-    if cached is None:
-        cached = design._blocks = _Blocks(design)
-    return cached
 
 
 def _xsum_total(design):
@@ -160,27 +104,6 @@ def _xsum_total(design):
     return cached[1]
 
 
-def _segment_sums(values, starts, n):
-    if values.shape[0] == 0:
-        return np.zeros((n,) + values.shape[1:])
-    return np.add.reduceat(values, starts[:-1], axis=0)
-
-
-_tls = threading.local()
-
-
-def _scratch(key, shape):
-    """Reusable thread-local work array (large temporaries churn the
-    allocator badly enough to dominate the evaluation otherwise)."""
-    pool = getattr(_tls, "pool", None)
-    if pool is None:
-        pool = _tls.pool = {}
-    buf = pool.get(key)
-    if buf is None or buf.shape != shape:
-        buf = pool[key] = np.empty(shape)
-    return buf
-
-
 def evaluate(design, beta, variant="approx_multicast", order=2,
              keep_terms=False):
     """Evaluate logpl (order 0), plus score (1) and information (2)."""
@@ -190,112 +113,52 @@ def evaluate(design, beta, variant="approx_multicast", order=2,
     if variant == "pairwise":
         if (design.ev_size != 1).any():
             raise StreamError("pairwise variant requires singleton receiver sets")
-        return _eval_sparse(design, beta, order, keep_terms)
+        return _eval_blocks(design, beta, order, keep_terms)
     if variant == "approx_multicast":
-        return _eval_sparse(design, beta, order, keep_terms)
+        return _eval_blocks(design, beta, order, keep_terms)
     if variant == "exact_multicast":
         return _eval_exact(design, beta, order, keep_terms)
     raise ValueError(f"unknown variant {variant!r}")
 
 
-#: Normalizer-ratio floor below which baseline-plus-correction cancellation
-#: costs too many digits; such events fall back to direct evaluation.
-_RHO_FLOOR = 1e-3
-
-
-def _rescue_events(design, beta, events, mass, order):
-    """Direct normalizers and moments of the given events' risk sets:
-    log W and E per event, and the second moments summed with weights
-    ``mass``."""
-    c, w = _risk_weights(design, beta, events)
-    W = w.sum(axis=1)
-    logW = c + np.log(W)
-    if order < 1:
-        return logW, None, None
-    X = _dense_design(design, events)
-    pi = w / W[:, None]
-    E = np.einsum("ka,kap->kp", pi, X)
-    if order < 2:
-        return logW, E, None
-    Xf = X.reshape(-1, design.p)
-    return logW, E, (Xf * (mass[:, None] * pi).reshape(-1, 1)).T @ Xf
-
-
-def _eval_sparse(design, beta, order, keep_terms):
-    n = design.n_events
-    blk = _blocks(design)
-    B = len(blk.first)
-    R, p = blk.dX.shape
-    logW0, pi0, E0, A0 = _class_tables(design, beta, order)
-
-    # row weights relative to the class baseline, in preallocated scratch
-    z = _scratch("z", (R,))
-    np.dot(blk.dX, beta, out=z)
-    z[blk.off] = -np.inf                           # weight 0 off the risk set
-    big = z > _Z_MAX                               # evaluated directly below
-    z[big] = 0.0
-    expz = np.exp(z, out=z)
-    pi0row = np.take(pi0.ravel(), blk.flat, out=_scratch("pi0row", (R,)))
-    delta = np.subtract(expz, 1.0, out=_scratch("delta", (R,)))
-    np.multiply(delta, pi0row, out=delta)          # Delta w / W_0
-    rho = 1.0 + _segment_sums(delta, blk.start, B)
-
-    # Blocks whose corrections cancel most of the baseline weight lose
-    # precision in W_0 + sum(Delta w), and blocks with a correction above
-    # _Z_MAX would overflow it; evaluate those few directly.  Their gamma
-    # is zeroed so every sparse-row contribution vanishes below.
-    ok = rho >= _RHO_FLOOR
-    ok[blk.row_blk[big]] = False
-    bad = np.flatnonzero(~ok)
-    gamma = np.where(ok, 1.0 / np.where(ok, rho, 1.0), 0.0)
-    logW = logW0[blk.cls] + np.log(np.where(ok, rho, 1.0))
-    if len(bad):
-        logW[bad], E_bad, A_bad = _rescue_events(
-            design, beta, blk.first[bad], blk.mass[bad], order)
+def _eval_blocks(design, beta, order, keep_terms):
+    """Single-receiver normalizers and moments, once per block of events
+    with identical sparse rows, weighted by the block's receiver slots."""
+    first = design.blk_event
+    mass = np.bincount(design.ev_block, weights=design.ev_size,
+                       minlength=len(first))
+    p = design.p
+    logW = np.empty(len(first))
+    E = np.empty((len(first), p))
+    M = np.zeros((p, p))
+    step = max(1, _CHUNK_BYTES // max(1, 8 * design.actor_count * p))
+    for lo in range(0, len(first), step):
+        blk = slice(lo, lo + step)
+        c, pi = _risk_weights(design, beta, first[blk])
+        W = pi.sum(axis=1)
+        logW[blk] = c + np.log(W)
+        if order < 1:
+            continue
+        pi /= W[:, None]
+        X = _dense_design(design, first[blk])
+        E[blk] = np.matmul(pi[:, None, :], X)[:, 0]
+        if order >= 2:
+            X -= E[blk, None, :]
+            X *= np.sqrt(mass[blk, None] * pi)[:, :, None]
+            Xf = X.reshape(len(X) * design.actor_count, p)
+            M += Xf.T @ Xf
 
     xtot = _xsum_total(design)
-    report = LikelihoodReport(float(xtot @ beta - blk.mass @ logW),
-                              n_events=n, n_decisions=design.n_decisions)
+    report = LikelihoodReport(float(xtot @ beta - mass @ logW),
+                              n_events=design.n_events,
+                              n_decisions=design.n_decisions)
     if keep_terms:
         report.terms = (design.xsum @ beta
                         - design.ev_size * logW[design.ev_block])
-    if order < 1:
-        return report
-
-    grow = np.take(gamma, blk.row_blk, out=_scratch("grow", (R,)))
-    dpi = np.multiply(delta, grow, out=delta)      # Delta pi rows
-    pirow = np.multiply(pi0row, expz, out=pi0row)  # pi at sparse rows
-    np.multiply(pirow, grow, out=pirow)
-    buf = _scratch("rows_a", (R, p))
-    buf2 = _scratch("rows_b", (R, p))
-    np.multiply(blk.x0, dpi[:, None], out=buf)
-    np.multiply(blk.dX, pirow[:, None], out=buf2)
-    buf += buf2
-    E = gamma[:, None] * E0[blk.cls]
-    E += _segment_sums(buf, blk.start, B)
-    if len(bad):
-        E[bad] = E_bad
-    report.score = xtot - blk.mass @ E
-    if order < 2:
-        return report
-
-    Lrow = np.take(blk.mass, blk.row_blk, out=_scratch("Lrow", (R,)))
-    np.multiply(dpi, Lrow, out=dpi)
-    np.multiply(pirow, Lrow, out=pirow)
-    np.multiply(blk.x0, dpi[:, None], out=buf)
-    M = buf.T @ blk.x0
-    np.multiply(blk.x0, pirow[:, None], out=buf)
-    C = buf.T @ blk.dX
-    M += C + C.T
-    np.multiply(blk.dX, pirow[:, None], out=buf)
-    M += buf.T @ blk.dX
-    cls_mass = np.bincount(blk.cls, weights=blk.mass * gamma,
-                           minlength=design.static.n_classes)
-    M += np.einsum("c,cpq->pq", cls_mass, A0)
-    if len(bad):
-        M += A_bad
-    M -= E.T @ (blk.mass[:, None] * E)
-    report.info = 0.5 * (M + M.T)
+    if order >= 1:
+        report.score = xtot - mass @ E
+    if order >= 2:
+        report.info = M
     return report
 
 

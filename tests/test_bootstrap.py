@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from sendrate import (BootstrapConfig, CovariateSpec, Event, EventStream,
                       RiskSetPolicy, SimConfig, bootstrap_bias, draw_replicate,
                       fit, prepare, simulate)
-from sendrate.bootstrap import coverage_study, substream
+from sendrate.bootstrap import substream
 from sendrate.solver import SolverConfig
 
 MIN = 60.0
@@ -142,11 +142,3 @@ class TestCoverage:
         beta_true = np.array([0.5])
         res_beta, se = np.array([123.0]), np.array([1e6])
         assert (np.abs(res_beta - beta_true) <= z * se).all()
-
-    def test_nominal_fifty_percent(self):
-        spec = send_recv_spec()
-        sim = SimConfig(actor_count=10, beta_true=np.array([0.7, 0.3]),
-                        spec=spec, seed=2026, baseline=0.01, n_events=900)
-        cov = coverage_study(sim, spec, n_replicates=40, nominal=0.5,
-                             variant="pairwise")
-        assert ((cov >= 0.30) & (cov <= 0.70)).all()

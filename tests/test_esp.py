@@ -166,3 +166,27 @@ class TestSamplers:
         hits = sum(sample_exponential_keys(w, 1, rng) == [1]
                    for _ in range(20000))
         assert abs(hits / 20000 - 0.75) < 0.02
+
+    def test_exponential_keys_pair_law_is_successive_sampling(self, rng):
+        # the bootstrap's default sampler: each next item is drawn in
+        # proportion to its weight among those left, which for L = 2 is
+        # not the fixed-size product-of-weights law
+        w = np.array([4.0, 2.0, 1.0, 1.0])
+        total = w.sum()
+        successive = {(a, b): w[a] / total * w[b] / (total - w[a])
+                      + w[b] / total * w[a] / (total - w[b])
+                      for a, b in itertools.combinations(range(4), 2)}
+        product = subset_law(w, 2)
+        n = 40000
+        counts = {}
+        for _ in range(n):
+            s = tuple(sample_exponential_keys(w, 2, rng))
+            counts[s] = counts.get(s, 0) + 1
+
+        def within(law):
+            # five binomial standard deviations per pair
+            return [abs(counts.get(s, 0) / n - pr)
+                    <= 5 * math.sqrt(pr * (1 - pr) / n)
+                    for s, pr in law.items()]
+        assert all(within(successive))
+        assert not all(within(product))

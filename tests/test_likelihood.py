@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sendrate import (CovariateSpec, DegenerateSenderError, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, StreamError, dense_oracle,
                       evaluate, growth_sequence, prepare)
 from sendrate.covariates import DynamicState, StaticDesign, covariate_vector
+from sendrate import likelihood
 from sendrate.likelihood import selection_probabilities
 
 from conftest import random_stream, random_traits
@@ -125,7 +127,7 @@ class TestSparseEqualsDense:
 
 class TestSharedBlocks:
     """Events whose sparse rows repeat their sender's previous event share
-    one block, which the sparse evaluator weights by its receiver slots."""
+    one block, which the evaluator weights by its receiver slots."""
 
     @staticmethod
     def indicator_design(rng):
@@ -153,9 +155,8 @@ class TestSharedBlocks:
     @pytest.mark.parametrize("send", [0.7, -40.0, 800.0])
     def test_shared_blocks_match_dense(self, rng, send):
         # send = -40 silences nearly every receiver once the indicators
-        # fill in, so those blocks fall back to direct evaluation; at send =
-        # 800 the ratio exp(z) to the baseline would overflow, so those
-        # blocks are evaluated directly as well
+        # fill in, so a block's weight rests on a few receivers; at send =
+        # 800 the weights span more than the double range
         design = self.indicator_design(rng)
         beta = rng.normal(0, 0.4, size=design.p)
         beta[design.column_indices(["send"])] = send
@@ -177,6 +178,68 @@ class TestSharedBlocks:
         beta[design.column_indices(["send"])] = 800.0
         with pytest.raises(DegenerateSenderError):
             evaluate(design, beta, "exact_multicast", order=0)
+
+
+def accuracy_design(seed):
+    rng = np.random.default_rng(seed)
+    traits = random_traits(rng, 12)
+    stream = random_stream(rng, actors=12, n=3000, max_size=3, gap=1200.0,
+                           traits=traits)
+    spec = CovariateSpec(static_terms=["1*a", "b*a"],
+                         dyadic=[("send", "both"), ("receive", "both")],
+                         triadic=[("2-send", "both"), ("sibling", "indicator")],
+                         scheme=IntervalScheme([1800.0, 7200.0]))
+    design = prepare(stream, spec)
+    return design, rng.normal(0, 0.1, size=design.p)
+
+
+def rel_diff(a, b):
+    return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+class TestBlockEvaluator:
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_information_accuracy(self, seed):
+        # a global M - E'(mass E) cancels digits at these seeds (2e-10 to
+        # 2e-9 of max |I|); centring each block on its own mean does not
+        design, beta = accuracy_design(seed)
+        fast = evaluate(design, beta, "approx_multicast")
+        slow = dense_oracle(design, beta, "approx_multicast")
+        assert rel_diff(fast.info, slow.info) <= 1e-10
+        assert rel_diff(fast.score, slow.score) <= 1e-10
+        assert_allclose(fast.logpl, slow.logpl, rtol=1e-12)
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_chunks_match_one_chunk(self, rng, monkeypatch, shared):
+        if shared:
+            design = TestSharedBlocks.indicator_design(rng)
+            assert len(design.blk_event) < design.n_events / 2
+        else:
+            stream = random_stream(rng, actors=7, n=80, max_size=3,
+                                   gap=20 * MIN, traits=random_traits(rng, 7))
+            design = prepare(stream, rich_spec())
+            assert len(design.blk_event) == design.n_events
+        beta = rng.normal(0, 0.3, size=design.p)
+        whole = evaluate(design, beta, "approx_multicast", keep_terms=True)
+        block_bytes = 8 * design.actor_count * design.p
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES", 3 * block_bytes)
+        parts = evaluate(design, beta, "approx_multicast", keep_terms=True)
+        assert rel_diff(parts.logpl, whole.logpl) <= 1e-12
+        assert rel_diff(parts.score, whole.score) <= 1e-12
+        assert rel_diff(parts.info, whole.info) <= 1e-12
+        assert rel_diff(parts.terms, whole.terms) <= 1e-12
+
+    def test_scratch_bounded_by_chunk(self, monkeypatch):
+        design, beta = accuracy_design(1)
+        block_bytes = 8 * design.actor_count * design.p
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES", 16 * block_bytes)
+        tracemalloc.start()
+        try:
+            evaluate(design, beta, "approx_multicast", order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design.dX.nbytes / 2
 
 
 class TestFiniteDifferences:
@@ -330,9 +393,11 @@ class TestSelectionProbabilities:
 
 class TestSenderSnapshot:
     def test_normalization_identity(self, rng):
-        # the sparse evaluator's per-sender decomposition: class baseline
-        # pi0 rescaled by gamma = 1 / rho, plus corrections Delta pi at the
-        # event's dynamic rows, is a probability vector over the risk set
+        # an independent decomposition of each event's selection law: the
+        # sender class's static softmax pi0, rescaled by gamma = 1 / rho,
+        # plus corrections Delta pi at the event's dynamic rows, is a
+        # probability vector over the risk set and equals
+        # selection_probabilities
         spec = rich_spec(traits=False)
         actors = 6
         stream = random_stream(rng, actors=actors, n=60, max_size=2,
