@@ -147,7 +147,6 @@ class PreparedDesign:
         self.row_inrisk = np.concatenate(row_risk_parts) if row_risk_parts else np.zeros(0, dtype=bool)
         self.dX = np.vstack(dx_parts) if dx_parts else np.zeros((0, p))
         self.recv_j = np.concatenate(recv_parts)
-        self.row_ev = np.repeat(np.arange(n), np.diff(row_start))
 
     # -- derived views -----------------------------------------------------
 
@@ -202,7 +201,7 @@ class PreparedDesign:
         out.n_events = self.n_events
         for name in ("ev_class", "ev_sender", "ev_size", "ev_risk",
                      "ev_block", "blk_event", "row_start", "recv_start",
-                     "row_j", "row_inrisk", "recv_j", "row_ev"):
+                     "row_j", "row_inrisk", "recv_j"):
             setattr(out, name, getattr(self, name))
         out.xsum = self.xsum[:, cols]
         out.dX = self.dX[:, cols]

@@ -3,8 +3,8 @@
 e_L(w) over a weight vector equals the sum over all size-L subsets of the
 product of member weights; it normalizes the multicast selection law, whose
 first two log-derivatives in the coefficient vector are subset means and
-covariances of covariate sums.  Everything here works on one weight vector;
-the batched DP used by the likelihood lives with the likelihood code.
+covariances of covariate sums.  ``esp_table`` also serves the exact
+likelihood's prefix and suffix tables, batched over leading axes.
 """
 
 from __future__ import annotations
@@ -13,18 +13,19 @@ import numpy as np
 
 
 def esp_table(w, L):
-    """Table of the triangular recurrence: row r holds e_0..e_L of the
-    first r weights, so the last row is e_0..e_L of them all.
+    """Table (..., n + 1, L + 1) of the triangular recurrence over the last
+    axis of w (..., n): row r holds e_0..e_L of the first r weights, so the
+    last row is e_0..e_L of them all.
 
     Column l is the running sum of w_r e_{l-1}(first r weights), one
     cumulative sum per degree, added in the same order as the one-item-
     at-a-time recurrence.
     """
     w = np.asarray(w, dtype=np.float64)
-    table = np.zeros((len(w) + 1, L + 1))
-    table[:, 0] = 1.0
+    table = np.zeros(w.shape[:-1] + (w.shape[-1] + 1, L + 1))
+    table[..., 0] = 1.0
     for l in range(1, L + 1):
-        (w * table[:-1, l - 1]).cumsum(out=table[1:, l])
+        (w * table[..., :-1, l - 1]).cumsum(axis=-1, out=table[..., 1:, l])
     return table
 
 

@@ -6,8 +6,9 @@ Three variants share one prepared design:
 * ``approx_multicast`` - duplication: a size-L event contributes L times the
   single-receiver normalizer;
 * ``exact_multicast`` - the size-L normalizer is the degree-L elementary
-  symmetric polynomial of the risk-set weights, evaluated with its first two
-  coefficient derivatives by one dynamic-programming sweep.
+  symmetric polynomial e_L of the risk-set weights, shifted so that the
+  heaviest size-L subset weighs 1 (1 <= e_L <= C(A, L): no underflow); the
+  moments come from the fixed-size law's inclusion probabilities.
 
 The first two are evaluated once per block of events with identical sparse
 rows, directly over all actors: the block's max-shifted risk-set weights
@@ -24,14 +25,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .esp import esp_table
 from .events import StreamError
 
-VARIANTS = ("pairwise", "exact_multicast", "approx_multicast")
-
-#: Bytes of dense block designs the block evaluator assembles at once; its
-#: scratch is about three times this.  On the 156-actor, p = 306 benchmark
-#: shape, 4-8 MB chunks evaluated order 2 faster than 32-64 MB ones.
+#: Bytes of dense designs (exact variant: or of A x A*L tables, if larger)
+#: assembled at once; scratch is a few times this.  On the 156-actor,
+#: p = 306 benchmark shape, 4-8 MB chunks ran order 2 faster than 32-64 MB.
 _CHUNK_BYTES = 8 << 20
+
+_L_MAX = 6  # largest receiver-set size the exact variant evaluates
 
 
 class DegenerateSenderError(StreamError):
@@ -52,11 +54,15 @@ class LikelihoodReport:
 # risk-set weights and dense designs
 
 def _event_rows(design, events):
-    """Indices of the given events' sparse rows, and the position in
-    ``events`` of the event each row belongs to."""
-    counts = design.row_start[events + 1] - design.row_start[events]
+    """The given events' sparse rows, as a slice when the events are
+    consecutive (a view of ``dX``) and as indices otherwise, and the
+    position in ``events`` of the event each row belongs to."""
+    start, stop = design.row_start[events], design.row_start[events + 1]
+    counts = stop - start
     local = np.repeat(np.arange(len(events)), counts)
-    skip = (design.row_start[events] - np.cumsum(counts) + counts)[local]
+    if len(events) and (np.diff(events) == 1).all():
+        return slice(start[0], stop[-1]), local
+    skip = (start - np.cumsum(counts) + counts)[local]
     return skip + np.arange(len(local)), local
 
 
@@ -66,27 +72,29 @@ def _dense_design(design, events):
     A = design.actor_count
     X = design.static._x0[design.ev_class[events]]
     flat = local * A + design.row_j[rows]
-    X.reshape(len(events) * A, design.p)[flat] += np.take(design.dX, rows, axis=0)
+    X.reshape(len(events) * A, design.p)[flat] += design.dX[rows]
     return X
 
 
-def _risk_weights(design, beta, events=None):
+def _log_weights(design, beta, events):
+    """(events, A) log selection weights x . beta of each event's
+    receivers, -inf outside the risk set."""
+    rows, local = _event_rows(design, events)
+    S = (design.static._x0 @ beta)[design.ev_class[events]]
+    flat = local * design.actor_count + design.row_j[rows]
+    S.ravel()[flat] += design.dX[rows] @ beta
+    S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
+    return S
+
+
+def _risk_weights(design, beta, events):
     """Per-event log shift c and max-shifted weights exp(x . beta - c).
 
     Rows of the (events, A) weight matrix are the selection weights of each
-    event's receivers (all events when ``events`` is None): zero outside the
-    risk set, at most 1, and exactly 1 at the heaviest receiver.
+    event's receivers: zero outside the risk set, at most 1, and exactly 1
+    at the heaviest receiver.
     """
-    if events is None:
-        events, rows, local = np.arange(design.n_events), slice(None), design.row_ev
-        z = design.dX @ beta
-    else:
-        rows, local = _event_rows(design, events)
-        z = np.take(design.dX, rows, axis=0) @ beta
-    S = (design.static._x0 @ beta)[design.ev_class[events]]
-    flat = local * design.actor_count + design.row_j[rows]
-    S.ravel()[flat] += z
-    S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
+    S = _log_weights(design, beta, events)
     c = S.max(axis=1)
     if not np.isfinite(c).all():
         bad = int(events[np.argmax(~np.isfinite(c))])
@@ -162,65 +170,86 @@ def _eval_blocks(design, beta, order, keep_terms):
     return report
 
 
-def _eval_exact(design, beta, order, keep_terms, l_max=6):
-    n = design.n_events
-    A = design.actor_count
-    p = design.p
+def _leave_one_out(w, l):
+    """e_l of the weights without item j, for each j along the last axis:
+    sums of prefix times suffix ESP tables, with no subtraction."""
+    if l < 0:
+        return np.zeros_like(w)
+    pre = esp_table(w, l)
+    suf = esp_table(w[..., ::-1], l)[..., ::-1, :]
+    return sum(pre[..., :-1, a] * suf[..., 1:, l - a] for a in range(l + 1))
+
+
+def _inclusions(w, L, order):
+    """Size-L fixed-size law on each row of w (k, A): e_L, then inclusion
+    probabilities pi_j = w_j e_{L-1}(w without j) / e_L, then joint ones
+    Q_jk = w_j w_k e_{L-2}(w without j, k) / e_L with Q_jj = pi_j (Chen,
+    Dempster & Liu 1994), up to the given order."""
+    eL = esp_table(w, L)[:, -1, L]
+    if order < 1:
+        return (eL,)
+    pi = w * _leave_one_out(w, L - 1) / eL[:, None]
+    if order < 2:
+        return eL, pi
+    # row j holds the weights with w_j set to 0, so its leave-one-out ESP
+    # at k is e_{L-2}(w without j and k)
+    diag = np.eye(w.shape[1], dtype=bool)
+    Q = _leave_one_out(np.where(diag, 0.0, w[:, None, :]), L - 2)
+    Q *= w[:, :, None] * w[:, None, :] / eL[:, None, None]
+    Q[:, diag] = pi
+    return eL, pi, Q
+
+
+def _eval_exact(design, beta, order, keep_terms):
+    """Fixed-size law moments a chunk of consecutive events at a time, each
+    event's log-weights shifted by the mean of its L largest.  Information:
+    X'(Q - pi pi')X, whose zero row sums let X be centred on E / L."""
+    n, A, p = design.n_events, design.actor_count, design.p
     sizes = design.ev_size
     Lmax = int(sizes.max())
-    if Lmax > l_max:
-        raise StreamError(f"receiver-set size {Lmax} exceeds limit {l_max}")
-    in_risk_count = design.ev_risk
-    if (sizes > in_risk_count).any():
-        bad = int(np.argmax(sizes > in_risk_count))
-        raise StreamError(
-            f"event {bad}: {sizes[bad]} receivers exceed risk set of "
-            f"{in_risk_count[bad]}")
+    if Lmax > _L_MAX:
+        raise StreamError(f"receiver-set size {Lmax} exceeds limit {_L_MAX}")
+    if (sizes > design.ev_risk).any():
+        bad = int(np.argmax(sizes > design.ev_risk))
+        raise StreamError(f"event {bad}: {sizes[bad]} receivers exceed risk "
+                          f"set of {design.ev_risk[bad]}")
 
-    c, w = _risk_weights(design, beta)
-    e = np.zeros((Lmax + 1, n))
-    e[0] = 1.0
-    G = np.zeros((Lmax + 1, n, p)) if order >= 1 else None
-    H = np.zeros((Lmax + 1, n, p, p)) if order >= 2 else None
-    if order >= 1:
-        X0d = _dense_design(design, np.arange(n))
-    for r in range(A):
-        wr = w[:, r]
-        if order >= 1:
-            xr = X0d[:, r, :]
-        for l in range(Lmax, 0, -1):
-            if order >= 2:
-                H[l] += wr[:, None, None] * (
-                    H[l - 1]
-                    + xr[:, :, None] * G[l - 1][:, None, :]
-                    + G[l - 1][:, :, None] * xr[:, None, :]
-                    + e[l - 1][:, None, None]
-                    * (xr[:, :, None] * xr[:, None, :]))
-            if order >= 1:
-                G[l] += wr[:, None] * (G[l - 1] + e[l - 1][:, None] * xr)
-            e[l] += wr * e[l - 1]
+    logW = np.empty(n)
+    score = np.zeros(p)
+    M = np.zeros((p, p))
+    step = max(1, _CHUNK_BYTES // (8 * A * max(p, A * Lmax)))
+    for lo in range(0, n, step):
+        ev = np.arange(lo, min(lo + step, n))
+        L = sizes[ev]
+        S = _log_weights(design, beta, ev)
+        top = np.cumsum(np.sort(S, axis=1)[:, ::-1], axis=1)
+        c = top[np.arange(len(ev)), L - 1] / L
+        w = np.exp(S - c[:, None])
+        parts = [np.empty((len(ev),) + (A,) * k) for k in range(order + 1)]
+        for size in np.unique(L):
+            sel = np.flatnonzero(L == size)
+            for out, part in zip(parts, _inclusions(w[sel], size, order)):
+                out[sel] = part
+        eL, pi, Q = parts + [None] * (2 - order)
+        logW[ev] = L * c + np.log(eL)
+        if order < 1:
+            continue
+        X = _dense_design(design, ev)
+        E = np.matmul(pi[:, None, :], X)[:, 0]
+        score += (design.xsum[ev] - E).sum(axis=0)
+        if order >= 2:
+            Q -= pi[:, :, None] * pi[:, None, :]
+            X -= (E / L[:, None])[:, None, :]
+            M += X.reshape(-1, p).T @ np.matmul(Q, X).reshape(-1, p)
 
-    rows = np.arange(n)
-    eL = e[sizes, rows]
-    if (eL <= 0).any():
-        bad = int(np.argmax(eL <= 0))
-        raise DegenerateSenderError(
-            f"zero size-{sizes[bad]} normalizer at event {bad}")
-    logW = sizes * c + np.log(eL)
     terms = design.xsum @ beta - logW
-    logpl = float(terms.sum())
-    report = LikelihoodReport(logpl, n_events=n,
+    report = LikelihoodReport(float(terms.sum()), n_events=n,
                               n_decisions=design.n_decisions,
                               terms=terms if keep_terms else None)
-    if order < 1:
-        return report
-    E = G[sizes, rows] / eL[:, None]
-    report.score = (design.xsum - E).sum(axis=0)
-    if order < 2:
-        return report
-    V = H[sizes, rows] / eL[:, None, None] - E[:, :, None] * E[:, None, :]
-    M = V.sum(axis=0)
-    report.info = 0.5 * (M + M.T)
+    if order >= 1:
+        report.score = score
+    if order >= 2:
+        report.info = 0.5 * (M + M.T)
     return report
 
 
@@ -272,7 +301,8 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
 def selection_probabilities(design, beta):
     """(n, A) matrix of single-selection probabilities per event, zero for
     receivers outside the risk set."""
-    _, w = _risk_weights(design, np.asarray(beta, dtype=np.float64))
+    _, w = _risk_weights(design, np.asarray(beta, dtype=np.float64),
+                         np.arange(design.n_events))
     w /= w.sum(axis=1)[:, None]
     return w
 

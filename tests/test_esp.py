@@ -78,6 +78,18 @@ class TestValues:
             assert np.array_equal(esp_values(w, L), loop_prefix_table(w, L)[-1])
             assert np.array_equal(esp_table(w[::-1], L)[::-1],
                                   loop_suffix_table(w, L))
+        # a batch of weight vectors along the last axis: each row's table
+        # is the one-vector table, to the last bit
+        for trial in range(50):
+            lead = (5,) if trial % 2 else (3, 4)
+            n = int(rng.integers(0, 20))
+            L = int(rng.integers(0, 7))
+            w = np.exp(rng.normal(0.0, 4.0, size=lead + (n,)))
+            w[rng.random(w.shape) < 0.2] = 0.0
+            table = esp_table(w, L)
+            assert table.shape == lead + (n + 1, L + 1)
+            for row in np.ndindex(*lead):
+                assert np.array_equal(table[row], esp_table(w[row], L))
 
 
 class TestGradHess:

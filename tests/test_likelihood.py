@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sendrate import (CovariateSpec, DegenerateSenderError, Event, EventStream,
+from sendrate import (CovariateSpec, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, StreamError, dense_oracle,
                       evaluate, growth_sequence, prepare)
 from sendrate.covariates import DynamicState, StaticDesign, covariate_vector
@@ -172,12 +172,21 @@ class TestSharedBlocks:
     def test_overflowing_weights_are_not_clipped(self, rng):
         # a pair of receivers whose weights differ by exp(800) has a size-2
         # normalizer below the double range once shifted by the heavier
-        # one: the exact variant must refuse it, not report logpl > 0
+        # one; shifted so that the heaviest pair has weight 1, every
+        # event's log-normalizer equals a log-sum-exp over all its subsets
         design = self.indicator_design(rng)
         beta = rng.normal(0, 0.4, size=design.p)
         beta[design.column_indices(["send"])] = 800.0
-        with pytest.raises(DegenerateSenderError):
-            evaluate(design, beta, "exact_multicast", order=0)
+        rep = evaluate(design, beta, "exact_multicast", order=0,
+                       keep_terms=True)
+        want = np.empty(design.n_events)
+        for m in range(design.n_events):
+            s = design.dense_x(m) @ beta
+            risk = np.flatnonzero(design.risk_mask(m))
+            sums = [s[list(sub)].sum() for sub in
+                    itertools.combinations(risk, int(design.ev_size[m]))]
+            want[m] = np.logaddexp.reduce(sums)
+        assert_allclose(design.xsum @ beta - rep.terms, want, rtol=1e-12)
 
 
 def accuracy_design(seed):
@@ -240,6 +249,91 @@ class TestBlockEvaluator:
         finally:
             tracemalloc.stop()
         assert peak < design.dX.nbytes / 2
+
+
+def exact_chunk_bytes(design, events):
+    """``_CHUNK_BYTES`` at which the exact kernel takes the given number
+    of events per chunk."""
+    A, Lmax = design.actor_count, int(design.ev_size.max())
+    return events * 8 * A * max(design.p, A * Lmax)
+
+
+class TestExactKernel:
+    def test_sizes_up_to_six_match_dense(self, rng):
+        for trial in range(6):
+            stream = random_stream(rng, actors=8, n=40, max_size=6,
+                                   gap=20 * MIN, traits=random_traits(rng, 8))
+            design = prepare(stream, rich_spec())
+            assert design.ev_size.max() == 6
+            beta = rng.normal(0, 0.3, size=design.p)
+            slow = dense_oracle(design, beta, "exact_multicast")
+            for order in range(3):
+                fast = evaluate(design, beta, "exact_multicast", order=order)
+                assert rel_diff(fast.logpl, slow.logpl) <= 1e-10
+                if order >= 1:
+                    assert rel_diff(fast.score, slow.score) <= 1e-10
+                if order >= 2:
+                    assert rel_diff(fast.info, slow.info) <= 1e-10
+
+    def test_event_covering_its_risk_set_is_certain(self, rng):
+        # senders 0 and 1 may reach only two and three actors; their events
+        # to all of them have probability 1, so they add no log-likelihood
+        # and no information, and include every risk-set member with pi = 1
+        actors = 7
+        sets = {i: set(range(actors)) - {i} for i in range(actors)}
+        sets[0], sets[1] = {1, 2}, {0, 2, 3}
+        events, t = [], 0.0
+        for _ in range(60):
+            t += rng.exponential(20 * MIN)
+            i = int(rng.integers(actors))
+            risk = sorted(sets[i])
+            size = len(risk) if i < 2 else int(rng.integers(1, 4))
+            recv = rng.choice(risk, size, replace=False).tolist()
+            events.append(Event(t, i, tuple(recv)))
+        design = prepare(EventStream(events, actors), rich_spec(traits=False),
+                         policy=RiskSetPolicy("static", static_sets=sets))
+        full = np.flatnonzero(design.ev_size == design.ev_risk)
+        assert len(full) > 5 and len(full) < design.n_events
+        beta = rng.normal(0, 0.5, size=design.p)
+        rep = evaluate(design, beta, "exact_multicast", keep_terms=True)
+        assert np.abs(rep.terms[full]).max() <= 1e-12
+        slow = dense_oracle(design, beta, "exact_multicast")
+        assert rel_diff(rep.info, slow.info) <= 1e-10
+        S = likelihood._log_weights(design, beta, full)
+        L = int(design.ev_size[full[0]])
+        sel = design.ev_size[full] == L
+        w = np.exp(S[sel] - S[sel].max(axis=1)[:, None])
+        _, pi, Q = likelihood._inclusions(w, L, 2)
+        assert_allclose(pi, np.isfinite(S[sel]), rtol=0, atol=1e-12)
+        assert np.abs(Q - pi[:, :, None] * pi[:, None, :]).max() <= 1e-12
+
+    def test_chunks_match_one_chunk(self, rng, monkeypatch):
+        stream = random_stream(rng, actors=7, n=80, max_size=4,
+                               gap=20 * MIN, traits=random_traits(rng, 7))
+        design = prepare(stream, rich_spec())
+        beta = rng.normal(0, 0.3, size=design.p)
+        whole = evaluate(design, beta, "exact_multicast", keep_terms=True)
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
+                            exact_chunk_bytes(design, 3))
+        parts = evaluate(design, beta, "exact_multicast", keep_terms=True)
+        assert rel_diff(parts.logpl, whole.logpl) <= 1e-12
+        assert rel_diff(parts.score, whole.score) <= 1e-12
+        assert rel_diff(parts.info, whole.info) <= 1e-12
+        assert rel_diff(parts.terms, whole.terms) <= 1e-12
+
+    def test_scratch_bounded_by_chunk(self, monkeypatch):
+        # an (L+1) n p^2 table of Hessian sums would be four times the bound
+        design, beta = accuracy_design(1)
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
+                            exact_chunk_bytes(design, 16))
+        tracemalloc.start()
+        try:
+            evaluate(design, beta, "exact_multicast", order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        Lmax = int(design.ev_size.max())
+        assert peak < (Lmax + 1) * design.n_events * design.p ** 2 * 8 / 4
 
 
 class TestFiniteDifferences:
