@@ -5,12 +5,17 @@ covariate process of the original stream; only the receiver sets are
 redrawn, proportional to the fitted weights.  Replicates are refit under
 the duplication likelihood, warm-started at the original estimate, and the
 mean replicate residual estimates the bias.
+
+A replicate costs about one score plus its Newton steps: draws and row sums
+are vectorised over events, and the duplication information at the original
+estimate, which does not depend on the receiver sets, starts every refit
+(the estimating-function bootstrap of Hu & Kalbfleisch, 2000).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -60,6 +65,8 @@ class BootstrapReport:
     residual_mean: np.ndarray           # mean of (b_r - b) / se
     residual_sd: np.ndarray
     skipped: int
+    #: per skipped replicate {"replicate": r, "reason": stop_reason or "Error: message"}
+    skip_reasons: list = field(default_factory=list)
     term_names: list = field(default_factory=list)
     flagged: bool = False
 
@@ -72,6 +79,7 @@ class BootstrapReport:
             "residual_mean": self.residual_mean.tolist(),
             "residual_sd": self.residual_sd.tolist(),
             "skipped": self.skipped,
+            "skip_reasons": list(self.skip_reasons),
             "terms": list(self.term_names),
             "flagged": self.flagged,
         }
@@ -87,6 +95,18 @@ class BootstrapReport:
                 fh.write(f"{name},{self.residual_mean[k]!r},{self.residual_sd[k]!r}\n")
 
 
+def _draw(design, probs, rng, sampler):
+    """Replicate receiver ids, laid out as ``design.recv_j``."""
+    if sampler == "sequential_wor":
+        return esp.sample_exponential_keys(probs, design.ev_size, rng)
+    if sampler == "conditional_poisson":
+        # a walk consumes as many uniforms as the weights make it: per event
+        return np.array([j for w, L in zip(probs, design.ev_size)
+                         for j in esp.sample_fixed_size(w, int(L), rng)],
+                        dtype=np.intp)
+    raise ValueError(f"unknown sampler {sampler!r}")
+
+
 def draw_replicate(design, beta, rng, sampler="sequential_wor", probs=None):
     """Redraw every receiver set: same size, elements proportional to the
     fitted weights over the event's risk set.  Returns a list of index
@@ -99,29 +119,14 @@ def draw_replicate(design, beta, rng, sampler="sequential_wor", probs=None):
     """
     if probs is None:
         probs = likelihood.selection_probabilities(design, beta)
-    out = []
-    for m in range(design.n_events):
-        L = int(design.ev_size[m])
-        w = probs[m]
-        if sampler == "sequential_wor":
-            chosen = esp.sample_exponential_keys(w, L, rng)
-        elif sampler == "conditional_poisson":
-            chosen = esp.sample_fixed_size(w, L, rng)
-        else:
-            raise ValueError(f"unknown sampler {sampler!r}")
-        out.append(np.asarray(chosen, dtype=np.intp))
-    return out
+    return np.split(_draw(design, probs, rng, sampler), design.recv_start[1:-1])
 
 
-def _replicate_design(design, receiver_sets):
-    """Shallow design copy with replicate receiver sets and xsum."""
+def _replicate_design(design, recv_j):
+    """Shallow design copy with replicate receivers (sizes as recorded)."""
     out = object.__new__(type(design))
-    out.__dict__.update(design.__dict__)
-    out.recv_j = np.concatenate(receiver_sets)
-    xsum = np.empty_like(design.xsum)
-    for m, recv in enumerate(receiver_sets):
-        xsum[m] = design.xsum_for(m, recv)
-    out.xsum = xsum
+    out.__dict__.update(design.__dict__, recv_j=recv_j,
+                        xsum=design.xsum_of(recv_j))
     return out
 
 
@@ -139,20 +144,26 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         fit_result = solver.fit(design, "approx_multicast")
     beta = fit_result.beta
     probs = likelihood.selection_probabilities(design, beta)
-
-    kept = []
+    # the approx information at beta does not depend on the receiver sets:
+    # a replicate's report there is this one shifted by its xsum total
+    rep = likelihood.evaluate(design, beta, "approx_multicast", order=2)
+    kept, skip_reasons = [], []
     for r in range(config.replicates):
-        rng = substream(config.seed, r)
-        receivers = draw_replicate(design, beta, rng, config.sampler, probs)
-        rep_design = _replicate_design(design, receivers)
+        rep_design = _replicate_design(design, _draw(
+            design, probs, substream(config.seed, r), config.sampler))
+        delta = likelihood._xsum_total(rep_design) - likelihood._xsum_total(design)
+        start = replace(rep, logpl=rep.logpl + float(delta @ beta),
+                        score=rep.score + delta)
         try:
-            res = solver.fit(rep_design, "approx_multicast", solver_config,
-                             beta0=beta)
-        except StreamError:
-            continue
-        if res.converged:
+            res = solver._newton(rep_design, "approx_multicast", solver_config,
+                                 beta, start)
+            reason = None if res.converged else res.stop_reason
+        except StreamError as exc:
+            reason = f"{type(exc).__name__}: {exc}"
+        if reason is None:
             kept.append(res.beta)
-    skipped = config.replicates - len(kept)
+        else:
+            skip_reasons.append({"replicate": r, "reason": reason})
     if not kept:
         raise StreamError("every bootstrap replicate failed to fit")
     estimates = np.vstack(kept)
@@ -166,9 +177,10 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         beta_corrected=beta - bias,
         residual_mean=resid.mean(axis=0),
         residual_sd=resid.std(axis=0, ddof=1) if len(kept) > 1 else np.zeros(design.p),
-        skipped=skipped,
+        skipped=len(skip_reasons),
+        skip_reasons=skip_reasons,
         term_names=list(design.term_names),
-        flagged=skipped > config.skip_tolerance * config.replicates,
+        flagged=len(skip_reasons) > config.skip_tolerance * config.replicates,
     )
 
 

@@ -73,13 +73,16 @@ class PreparedDesign:
         ev_sender = np.empty(n, dtype=np.intp)
         ev_size = np.empty(n, dtype=np.intp)
         ev_risk = np.empty(n, dtype=np.intp)
-        xsum = np.zeros((n, p))
         row_start = np.zeros(n + 1, dtype=np.intp)
         recv_start = np.zeros(n + 1, dtype=np.intp)
-        row_j_parts, row_risk_parts, dx_parts, recv_parts = [], [], [], []
+        row_j_parts, row_risk_parts, recv_parts = [], [], []
+        try:    # an event has at most A rows; only those written are resident
+            dX = np.empty((n * A, p))
+        except MemoryError:     # more than memory could hold: grow in place
+            dX = np.empty((n, p))
         ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
-        last_block = {}     # sender -> (block id, its js, inrisk, dx)
+        last_block = {}     # sender -> (block id, its js, inrisk, first row)
 
         state = DynamicState(spec, A)
         for m, ev in enumerate(stream):
@@ -104,32 +107,29 @@ class PreparedDesign:
             prev = last_block.get(i)
             if (prev is not None and prev[1] == js
                     and np.array_equal(prev[2], inrisk)
-                    and np.array_equal(prev[3], dx)):
+                    and np.array_equal(dX[prev[3]:prev[3] + len(js)], dx)):
                 ev_block[m] = prev[0]
             else:
                 ev_block[m] = len(blk_event)
-                last_block[i] = (len(blk_event), js, inrisk, dx)
+                last_block[i] = (len(blk_event), js, inrisk, row_start[m])
                 blk_event.append(m)
 
-            x0c = static.x0(static.class_of[i])
-            rowpos = {j: r for r, j in enumerate(js)}
             for j in ev.receivers:
                 if j in excluded:
                     raise ReceiverOutsideRiskSet(
                         f"event {m}: receiver {j} outside risk set of sender {i}")
-                xsum[m] += x0c[j]
-                if j in rowpos:
-                    xsum[m] += dx[rowpos[j]]
 
             ev_class[m] = static.class_of[i]
             ev_sender[m] = i
             ev_size[m] = ev.size
             ev_risk[m] = risk_size
             row_start[m + 1] = row_start[m] + len(js)
+            if row_start[m + 1] > len(dX):
+                dX.resize((2 * row_start[m + 1], p), refcheck=False)
+            dX[row_start[m]:row_start[m + 1]] = dx
             recv_start[m + 1] = recv_start[m] + ev.size
             row_j_parts.append(np.asarray(js, dtype=np.intp))
             row_risk_parts.append(inrisk)
-            dx_parts.append(dx)
             recv_parts.append(np.asarray(ev.receivers, dtype=np.intp))
             state.advance(ev)
 
@@ -140,13 +140,14 @@ class PreparedDesign:
         self.ev_risk = ev_risk
         self.ev_block = ev_block
         self.blk_event = np.asarray(blk_event, dtype=np.intp)
-        self.xsum = xsum
         self.row_start = row_start
         self.recv_start = recv_start
         self.row_j = np.concatenate(row_j_parts) if row_j_parts else np.zeros(0, dtype=np.intp)
         self.row_inrisk = np.concatenate(row_risk_parts) if row_risk_parts else np.zeros(0, dtype=bool)
-        self.dX = np.vstack(dx_parts) if dx_parts else np.zeros((0, p))
+        dX.resize((row_start[n], p), refcheck=False)
+        self.dX = dX
         self.recv_j = np.concatenate(recv_parts)
+        self.xsum = self.xsum_of(self.recv_j)
 
     # -- derived views -----------------------------------------------------
 
@@ -176,17 +177,19 @@ class PreparedDesign:
         mask[js[~inrisk]] = False
         return mask
 
-    def xsum_for(self, m, receivers):
-        """Design-row sum over an arbitrary receiver set at event m."""
-        receivers = np.asarray(receivers, dtype=np.intp)
-        x = self.static.x0(self.ev_class[m])[receivers].sum(axis=0)
-        js, dx, _ = self.event_rows(m)
-        if len(js):
-            pos = np.searchsorted(js, receivers).clip(max=len(js) - 1)
-            hit = js[pos] == receivers
-            if hit.any():
-                x = x + dx[pos[hit]].sum(axis=0)
-        return x
+    def xsum_of(self, recv_j):
+        """Design-row sums over receiver ids laid out as ``recv_j``.  Entries
+        are integers (counts, flags, products): any summing order is exact."""
+        n, A = self.n_events, self.actor_count
+        ev = np.repeat(np.arange(n), np.diff(self.recv_start))
+        # sorted, as row_j is within each event; the last entry is past all
+        key = np.append(np.repeat(np.arange(n), np.diff(self.row_start)) * A
+                        + self.row_j, n * A)
+        pos = np.searchsorted(key, ev * A + recv_j)
+        hit = key[pos] == ev * A + recv_j
+        rows = self.static._x0[self.ev_class[ev], recv_j]
+        rows[hit] += self.dX[pos[hit]]
+        return np.add.reduceat(rows, self.recv_start[:-1])
 
     def subset(self, cols):
         """Shallow copy restricted to the given columns (deviance tables)."""

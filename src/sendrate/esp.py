@@ -98,13 +98,15 @@ def sample_fixed_size(w, L, rng):
 
 
 def sample_exponential_keys(w, L, rng):
-    """Weighted draw without replacement by exponential order statistics:
-    key_j = Exp(1)/w_j, take the L smallest (successive-sampling law)."""
+    """Successive-sampling draws along the last axis of w: the L (one per row)
+    smallest keys Exp(1)/w_j.  Returns each row's picks in order, rows
+    concatenated (a list for one row); row-by-row calls draw the same."""
     w = np.asarray(w, dtype=np.float64)
-    support = int((w > 0).sum())
-    if L > support:
-        raise ValueError(f"cannot draw {L} items from {support} with positive weight")
+    L = np.asarray(L)
+    if (L > (w > 0).sum(axis=-1)).any():
+        raise ValueError("cannot draw more items than have positive weight")
     with np.errstate(divide="ignore"):
-        keys = rng.standard_exponential(len(w)) / w
-    order = np.argsort(keys, kind="stable")
-    return sorted(order[:L].tolist())
+        keys = rng.standard_exponential(w.shape) / w
+    rank = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
+    picked = np.nonzero(rank < L[..., None])[-1]
+    return picked.tolist() if w.ndim == 1 else picked

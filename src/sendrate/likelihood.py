@@ -222,7 +222,9 @@ def _eval_exact(design, beta, order, keep_terms):
         ev = np.arange(lo, min(lo + step, n))
         L = sizes[ev]
         S = _log_weights(design, beta, ev)
-        top = np.cumsum(np.sort(S, axis=1)[:, ::-1], axis=1)
+        # each event's L.max() largest log-weights, summed largest first
+        top = np.sort(np.partition(S, A - L.max(), axis=1)[:, A - L.max():])
+        top = np.cumsum(top[:, ::-1], axis=1)
         c = top[np.arange(len(ev)), L - 1] / L
         w = np.exp(S - c[:, None])
         parts = [np.empty((len(ev),) + (A,) * k) for k in range(order + 1)]
@@ -285,13 +287,14 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
             if order >= 2:
                 info += L * (X.T @ (pi[:, None] * X) - np.outer(E, E))
         else:
-            S0, S1, S2 = esp_grad_hess(w, X, L)
+            # centred rows: same covariance, no cancellation of raw moments
+            ref = w @ X / w.sum()
+            S0, S1, S2 = esp_grad_hess(w, X - ref, L)
             logpl += design.xsum[m] @ beta - (L * cmax + np.log(S0))
             if order >= 1:
-                E = S1 / S0
-                score += design.xsum[m] - E
+                score += design.xsum[m] - (S1 / S0 + L * ref)
             if order >= 2:
-                info += S2 / S0 - np.outer(E, E)
+                info += S2 / S0 - np.outer(S1 / S0, S1 / S0)
     return LikelihoodReport(float(logpl),
                             score if order >= 1 else None,
                             0.5 * (info + info.T) if order >= 2 else None,

@@ -145,13 +145,17 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
     grad_tol * max(1, selection decisions).
     """
     config = config or SolverConfig()
-    p = design.p
-    if p < 1:
+    if design.p < 1:
         raise StreamError("design has no covariate columns")
-    beta = np.zeros(p) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
-    scale = config.grad_tol * max(1.0, design.n_decisions)
-
+    beta = np.zeros(design.p) if beta0 is None else np.asarray(beta0, dtype=np.float64).copy()
     rep = likelihood.evaluate(design, beta, variant, order=2)
+    return _newton(design, variant, config, beta, rep)
+
+
+def _newton(design, variant, config, beta, rep):
+    """Damped Newton from beta, where rep is the order-2 report at beta."""
+    p = design.p
+    scale = config.grad_tol * max(1.0, design.n_decisions)
     trace = [rep.logpl]
     converged = gave_up = False
     iterations = 0

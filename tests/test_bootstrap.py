@@ -3,10 +3,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (BootstrapConfig, CovariateSpec, Event, EventStream,
-                      RiskSetPolicy, SimConfig, bootstrap_bias, draw_replicate,
-                      fit, prepare, simulate)
-from sendrate.bootstrap import substream
+                      IntervalScheme, RiskSetPolicy, SimConfig, StreamError,
+                      bootstrap_bias, draw_replicate, fit, prepare, simulate,
+                      solver)
+from sendrate.bootstrap import SAMPLERS, _replicate_design, substream
+from sendrate.likelihood import selection_probabilities
 from sendrate.solver import SolverConfig
+
+from conftest import random_traits
 
 MIN = 60.0
 
@@ -75,6 +79,58 @@ class TestDrawReplicate:
                 assert len(set(r.tolist())) == len(r)
 
 
+def xsum_for(design, m, receivers):
+    """Design-row sum over a receiver set at event m, one event at a time:
+    the reference for ``PreparedDesign.xsum_of``."""
+    receivers = np.asarray(receivers, dtype=np.intp)
+    x = design.static.x0(design.ev_class[m])[receivers].sum(axis=0)
+    js, dx, _ = design.event_rows(m)
+    if len(js):
+        pos = np.searchsorted(js, receivers).clip(max=len(js) - 1)
+        hit = js[pos] == receivers
+        if hit.any():
+            x = x + dx[pos[hit]].sum(axis=0)
+    return x
+
+
+class TestReplicateDesign:
+    def test_xsum_equals_per_event_loop(self, rng):
+        # static risk sets exclude actors besides the sender, so events
+        # carry rows outside their risk set
+        actors = 7
+        sets = {i: set(range(actors)) - {i, (i + 2) % actors, (i + 3) % actors}
+                for i in range(actors)}
+        events, t = [], 0.0
+        for _ in range(150):
+            t += rng.exponential(20 * MIN)
+            i = int(rng.integers(actors))
+            recv = rng.choice(sorted(sets[i]), int(rng.integers(1, 4)),
+                              replace=False)
+            events.append(Event(t, i, tuple(recv.tolist())))
+        spec = CovariateSpec(static_terms=["1*a", "b*a"],
+                             dyadic=[("send", "both"), ("receive", "both")],
+                             triadic=[("2-send", "both"),
+                                      ("sibling", "indicator")],
+                             scheme=IntervalScheme([30 * MIN, 120 * MIN]))
+        stream = EventStream(events, actors, traits=random_traits(rng, actors))
+        design = prepare(stream, spec,
+                         policy=RiskSetPolicy("static", static_sets=sets))
+        assert (~design.row_inrisk).sum() == 3 * design.n_events
+        # integer entries, which the vectorised sums rely on to be exact
+        assert np.array_equal(design.dX, np.round(design.dX))
+        assert np.array_equal(design.static._x0, np.round(design.static._x0))
+        assert np.array_equal(design.xsum, [
+            xsum_for(design, m, design.receivers(m))
+            for m in range(design.n_events)])
+        beta = rng.normal(0, 0.3, size=design.p)
+        for r, sampler in enumerate(SAMPLERS):
+            recv = draw_replicate(design, beta, substream(2, r), sampler)
+            rep = _replicate_design(design, np.concatenate(recv))
+            want = [xsum_for(design, m, js) for m, js in enumerate(recv)]
+            assert np.array_equal(rep.xsum, want)
+            assert np.array_equal(rep.recv_j, np.concatenate(recv))
+
+
 class TestBootstrapBias:
     def test_identity_when_draw_forced(self):
         sets = {0: {1, 2}, 1: {0}, 2: {0}}
@@ -110,6 +166,55 @@ class TestBootstrapBias:
         r3 = bootstrap_bias(design, res, BootstrapConfig(replicates=6, seed=12))
         assert not np.array_equal(r1.replicate_estimates, r3.replicate_estimates)
 
+    def test_shared_start_matches_independent_refits(self):
+        # every refit starts from one evaluation of the original design;
+        # a full fit of each replicate design from the estimate agrees
+        design = simulated_design(n=300, sizes={1: 1.0, 2: 0.2, 3: 0.05})
+        res = fit(design, "approx_multicast")
+        cfg = BootstrapConfig(replicates=6, seed=3)
+        report = bootstrap_bias(design, res, cfg)
+        probs = selection_probabilities(design, res.beta)
+        want = []
+        for r in range(cfg.replicates):
+            recv = draw_replicate(design, res.beta, substream(cfg.seed, r),
+                                  probs=probs)
+            one = fit(_replicate_design(design, np.concatenate(recv)),
+                      "approx_multicast", SolverConfig(max_iters=cfg.max_iters),
+                      beta0=res.beta)
+            want.append(one.beta)
+        assert report.skipped == 0
+        assert np.abs((report.replicate_estimates - want) / res.se).max() <= 1e-10
+
+    def test_unconverged_replicates_record_stop_reason(self):
+        # one Newton step is too few for a replicate refit, except where the
+        # replicate's summed design rows equal the original's
+        design = simulated_design(n=300, sizes={1: 1.0, 2: 0.2})
+        res = fit(design, "approx_multicast")
+        report = bootstrap_bias(design, res, BootstrapConfig(replicates=8, seed=1),
+                                solver_config=SolverConfig(max_iters=1))
+        assert 0 < report.skipped < 8
+        assert len(report.replicate_estimates) == 8 - report.skipped
+        assert [e["reason"] for e in report.skip_reasons] == \
+            ["max_iters"] * report.skipped
+        assert report.to_json()["skip_reasons"] == report.skip_reasons
+
+    def test_raising_replicate_records_its_error(self, monkeypatch):
+        design = simulated_design(n=200)
+        res = fit(design, "approx_multicast")
+        newton, calls = solver._newton, []
+
+        def second_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise StreamError("replicate design rejected")
+            return newton(*args)
+        monkeypatch.setattr(solver, "_newton", second_fails)
+        report = bootstrap_bias(design, res, BootstrapConfig(replicates=3, seed=1))
+        assert report.skipped == 1
+        assert report.skip_reasons == [
+            {"replicate": 1, "reason": "StreamError: replicate design rejected"}]
+        assert len(report.replicate_estimates) == 2
+
     def test_singleton_streams_have_vanishing_bias(self):
         design = simulated_design(seed=9, n=800)
         res = fit(design, "approx_multicast")
@@ -129,6 +234,7 @@ class TestBootstrapBias:
         obj = json.loads(p.read_text())
         assert len(obj["replicates"]) == 4
         assert obj["skipped"] == 0
+        assert obj["skip_reasons"] == []
         report.summary_csv(str(tmp_path / "b.csv"))
         lines = (tmp_path / "b.csv").read_text().splitlines()
         assert lines[0] == "term,residual_mean,residual_sd"

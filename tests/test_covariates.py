@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
                       IntervalScheme, StaticDesign, StreamError,
-                      covariate_vector, second_order_static_terms)
+                      covariate_vector, prepare, second_order_static_terms)
 from sendrate.covariates import DEFAULT_BOUNDARIES, DynamicState
 
 from conftest import brute_covariates, random_stream, random_traits
@@ -270,6 +270,31 @@ class TestSparseDenseEquivalence:
         state.advance(Event(100.0, 0, (1,)))
         after = covariate_vector(state, static, 100.0, 0, 1)
         assert_allclose(before, after)
+
+
+class TestPreparedRows:
+    def test_rows_grow_in_place_when_not_reserved(self, rng, monkeypatch):
+        # A rows per event are reserved and trimmed; where memory refuses
+        # that, the rows grow in place to the same design
+        actors = 6
+        spec = TestSparseDenseEquivalence().full_spec()
+        stream = random_stream(rng, actors=actors, n=200, max_size=3,
+                               gap=10 * MIN)
+        want = prepare(stream, spec)
+        assert want.dX.shape == (want.row_start[-1], spec.dim)
+        assert want.row_start[-1] > len(stream)
+        empty = np.empty
+
+        def refuse_reservation(shape, *args, **kwargs):
+            if shape == (len(stream) * actors, spec.dim):
+                raise MemoryError("reservation refused")
+            return empty(shape, *args, **kwargs)
+        monkeypatch.setattr(np, "empty", refuse_reservation)
+        got = prepare(stream, spec)
+        monkeypatch.undo()
+        for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
+                     "ev_block", "blk_event"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestActiveReceivers:

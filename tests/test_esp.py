@@ -172,6 +172,36 @@ class TestSamplers:
             s = sample_exponential_keys(w, 3, rng)
             assert len(s) == 3 and 1 not in s
 
+    def test_exponential_keys_batch_equals_row_loop(self, rng):
+        # one draw per row of a weight array, with zero weights and sets
+        # forced by their support, against one call per row from the same
+        # generator state
+        def row_draw(w, L, gen):
+            with np.errstate(divide="ignore"):
+                keys = gen.standard_exponential(len(w)) / w
+            return sorted(np.argsort(keys, kind="stable")[:L].tolist())
+
+        for trial in range(40):
+            n, A = int(rng.integers(1, 30)), int(rng.integers(1, 12))
+            w = rng.uniform(0.1, 3.0, size=(n, A))
+            w[rng.random((n, A)) < 0.3] = 0.0
+            w[np.arange(n), rng.integers(0, A, size=n)] = 1.0
+            support = (w > 0).sum(axis=1)
+            L = rng.integers(1, support + 1)
+            L[::3] = support[::3]
+            seed = int(rng.integers(2 ** 32))
+            make = (np.random.default_rng if trial % 2 else
+                    lambda s: np.random.Generator(np.random.Philox(s)))
+            got = sample_exponential_keys(w, L, make(seed))
+            gen = make(seed)
+            want = [j for row, size in zip(w, L) for j in row_draw(row, size, gen)]
+            assert np.array_equal(got, want)
+            forced = L == support
+            starts = np.concatenate([[0], np.cumsum(L)])
+            for m in np.flatnonzero(forced):
+                assert got[starts[m]:starts[m + 1]].tolist() == \
+                    np.flatnonzero(w[m]).tolist()
+
     def test_exponential_keys_single_draw_law(self, rng):
         # with L=1 both samplers reduce to a categorical draw
         w = np.array([1.0, 3.0])

@@ -307,6 +307,30 @@ class TestExactKernel:
         assert_allclose(pi, np.isfinite(S[sel]), rtol=0, atol=1e-12)
         assert np.abs(Q - pi[:, :, None] * pi[:, None, :]).max() <= 1e-12
 
+    def test_oracle_matches_centred_enumeration(self):
+        # every size-L subset of every risk set, its summed rows centred on
+        # the event's mean before the outer products: the reference the
+        # kernel and the oracle are both held to
+        design, beta = accuracy_design(2)
+        p = design.p
+        info, score, logpl = np.zeros((p, p)), np.zeros(p), 0.0
+        for m in range(design.n_events):
+            risk = np.flatnonzero(design.risk_mask(m))
+            subsets = list(itertools.combinations(risk, int(design.ev_size[m])))
+            Xs = design.dense_x(m)[subsets].sum(axis=1)
+            s = Xs @ beta
+            w = np.exp(s - s.max())
+            pi = w / w.sum()
+            E = pi @ Xs
+            info += ((Xs - E) * pi[:, None]).T @ (Xs - E)
+            score += design.xsum[m] - E
+            logpl += design.xsum[m] @ beta - (s.max() + np.log(w.sum()))
+        for rep in (dense_oracle(design, beta, "exact_multicast"),
+                    evaluate(design, beta, "exact_multicast")):
+            assert rel_diff(rep.info, info) <= 1e-13
+            assert rel_diff(rep.score, score) <= 1e-13
+            assert_allclose(rep.logpl, logpl, rtol=1e-13)
+
     def test_chunks_match_one_chunk(self, rng, monkeypatch):
         stream = random_stream(rng, actors=7, n=80, max_size=4,
                                gap=20 * MIN, traits=random_traits(rng, 7))
