@@ -23,6 +23,8 @@ from . import esp, likelihood, solver
 from .events import StreamError
 
 SAMPLERS = ("sequential_wor", "conditional_poisson")
+_REFIT_MAX_ITERS = 50   # Newton steps a replicate refit may take
+_SKIP_TOLERANCE = 0.05  # share of skipped replicates that flags a report
 
 
 def substream(seed, *key):
@@ -41,13 +43,13 @@ class BootstrapConfig:
     drawn.  ``conditional_poisson`` is the fixed-size law, under which a
     set's probability is proportional to the product of its weights; it
     is the law ``simulate`` draws from and the exact likelihood models.
+    A refit may take 50 Newton steps, and a report is flagged when more
+    than 5% of its replicates are skipped.
     """
 
     replicates: int = 300
     seed: int = 0
     sampler: str = "sequential_wor"
-    max_iters: int = 50
-    skip_tolerance: float = 0.05
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -96,7 +98,8 @@ class BootstrapReport:
 
 
 def _draw(design, probs, rng, sampler):
-    """Replicate receiver ids, laid out as ``design.recv_j``."""
+    """Replicate receiver ids, laid out as ``design.recv_j``: each event's
+    set redrawn at its recorded size from ``probs`` under ``sampler``."""
     if sampler == "sequential_wor":
         return esp.sample_exponential_keys(probs, design.ev_size, rng)
     if sampler == "conditional_poisson":
@@ -104,22 +107,6 @@ def _draw(design, probs, rng, sampler):
         return np.array([j for w, L in zip(probs, design.ev_size)
                          for j in esp.sample_fixed_size(w, int(L), rng)],
                         dtype=np.intp)
-    raise ValueError(f"unknown sampler {sampler!r}")
-
-
-def draw_replicate(design, beta, rng, sampler="sequential_wor", probs=None):
-    """Redraw every receiver set: same size, elements proportional to the
-    fitted weights over the event's risk set.  Returns a list of index
-    arrays aligned with the design's events.
-
-    ``sequential_wor`` draws by successive sampling (each next receiver in
-    proportion to its weight among those left); ``conditional_poisson``
-    draws from the fixed-size product-of-weights law that ``simulate`` and
-    the exact likelihood use.  The two agree for single receivers.
-    """
-    if probs is None:
-        probs = likelihood.selection_probabilities(design, beta)
-    return np.split(_draw(design, probs, rng, sampler), design.recv_start[1:-1])
 
 
 def _replicate_design(design, recv_j):
@@ -139,7 +126,7 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
     Deterministic for a fixed seed and configuration.
     """
     config = config or BootstrapConfig()
-    solver_config = solver_config or solver.SolverConfig(max_iters=config.max_iters)
+    solver_config = solver_config or solver.SolverConfig(max_iters=_REFIT_MAX_ITERS)
     if fit_result is None:
         fit_result = solver.fit(design, "approx_multicast")
     beta = fit_result.beta
@@ -180,7 +167,7 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         skipped=len(skip_reasons),
         skip_reasons=skip_reasons,
         term_names=list(design.term_names),
-        flagged=len(skip_reasons) > config.skip_tolerance * config.replicates,
+        flagged=len(skip_reasons) > _SKIP_TOLERANCE * config.replicates,
     )
 
 

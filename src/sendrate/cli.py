@@ -14,9 +14,7 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from . import __version__, bootstrap, diagnostics, likelihood, solver
+from . import __version__, bootstrap, diagnostics, solver
 from .covariates import CovariateSpec
 from .design import prepare
 from .events import (StreamError, export_events, ingest_events, ingest_traits,
@@ -39,6 +37,13 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+def positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
 
 
 def _digest(path):
@@ -212,13 +217,13 @@ def build_parser():
     p.add_argument("--out", default="fit.json")
     p.add_argument("--deviance",
                    help="comma-separated term groups for the deviance table")
-    p.add_argument("--max-iters", type=int, default=100)
+    p.add_argument("--max-iters", type=positive_int, default=100)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("bootstrap", help="parametric bias correction")
     _add_common_inputs(p)
     p.add_argument("--fit", help="existing fit JSON (refits when absent)")
-    p.add_argument("--replicates", type=int, default=300)
+    p.add_argument("--replicates", type=positive_int, default=300)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sampler", choices=bootstrap.SAMPLERS,
                    default="sequential_wor",
@@ -260,9 +265,6 @@ def main(argv=None):
     except solver.SingularInformationError as exc:
         print(f"identifiability failure: {exc}", file=sys.stderr)
         return EX_IDENT
-    except solver.NotConvergedError as exc:
-        print(f"non-convergence: {exc}", file=sys.stderr)
-        return EX_NOCONV
     except (StreamError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_DATA

@@ -10,7 +10,6 @@ shares a middle actor, and the state tracks that support explicitly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,11 @@ class IntervalScheme:
     """
 
     def __init__(self, boundaries=DEFAULT_BOUNDARIES):
-        b = [float(x) for x in boundaries]
+        try:
+            b = [float(x) for x in boundaries]
+        except (TypeError, ValueError):
+            raise StreamError(
+                f"boundaries must be numbers, got {boundaries!r}") from None
         if not b or any(x <= 0 for x in b) or any(
                 y <= x for x, y in zip(b, b[1:])):
             raise StreamError("boundaries must be positive and increasing")
@@ -45,13 +48,6 @@ class IntervalScheme:
     @property
     def K(self):
         return len(self.boundaries) + 1
-
-
-@dataclass(frozen=True)
-class EffectTerm:
-    family: str          # "static", "dyadic", "triadic"
-    effect: str          # "X*Y" or an effect name
-    form: str            # "static", "indicator", "binned"
 
 
 class CovariateSpec:
@@ -94,34 +90,23 @@ class CovariateSpec:
     def _build_layout(self):
         K = self.scheme.K
         names = [f"{x}*{y}" for x, y in self.static_terms]
-        terms = [EffectTerm("static", f"{x}*{y}", "static")
-                 for x, y in self.static_terms]
         for effect, form in self.dyadic:
             if form in ("indicator", "both"):
                 names.append(effect)
-                terms.append(EffectTerm("dyadic", effect, "indicator"))
             if form in ("binned", "both"):
                 names += [f"{effect}[{k}]" for k in range(1, K + 1)]
-                terms += [EffectTerm("dyadic", effect, "binned")] * K
         for effect, form in self.triadic:
             if form in ("indicator", "both"):
                 names.append(effect)
-                terms.append(EffectTerm("triadic", effect, "indicator"))
             if form in ("binned", "both"):
                 names += [f"{effect}[{k},{l}]"
                           for k in range(1, K + 1) for l in range(1, K + 1)]
-                terms += [EffectTerm("triadic", effect, "binned")] * (K * K)
         self.term_names = names
-        self.terms = terms
         self.dim = len(names)
         self.static_dim = len(self.static_terms)
         self.has_triadic = bool(self.triadic)
         self.has_binned = any(f in ("binned", "both")
                               for _, f in self.dyadic + self.triadic)
-
-    @property
-    def dynamic_dim(self):
-        return self.dim - self.static_dim
 
     def to_json(self):
         return {
@@ -214,11 +199,13 @@ class DynamicState:
     K pointers into the time-ordered records follow the query time: pointer
     0 counts the records older than t and pointer k those older than
     t - b_k, so passing pointer k moves a record from bin k to bin k+1
-    (pointer 0: into bin 1), backward if a query goes back in time.  These
-    are the bin definition's float comparisons ``tau < t - b_k``, so every
-    count is exact.  A self-loop a->a enters no count: (i, i) has no dynamic
-    design, and no triadic middle actor h is i or j.  The sparse support
-    ``active_receivers`` is kept as a boolean matrix.
+    (pointer 0: into bin 1).  Queries only go forward in time, as replay
+    and the simulator make them.  These are the bin definition's float
+    comparisons ``tau < t - b_k``, so every count is exact.  A self-loop
+    a->a enters no count: (i, i) has no dynamic design, and no triadic
+    middle actor h is i or j.  The sparse support, a superset of the
+    receivers whose dynamic row can be non-zero, is kept as a boolean
+    matrix.
     """
 
     def __init__(self, spec, actor_count):
@@ -294,42 +281,35 @@ class DynamicState:
         return list(pairs)
 
     def _sync(self, t):
-        """Move the pointers, and the records they pass, to query time t."""
+        """Move the pointers, and the records they pass, forward to query
+        time t."""
         times, ptr, n = self._times, self._ptr, len(self._times)
         if (t, n) == self._synced:
             return
+        if t < self._synced[0]:
+            raise StreamError(
+                f"query back in time: {t} < {self._synced[0]}")
         cuts = [t] + [t - b for b in self.spec.scheme.boundaries]
-        # forward in bin order and backward in reverse, so a record leaves
-        # the past from bin 1, where its pair's visibility can be re-read
         for k, cut in enumerate(cuts):
             while ptr[k] < n and times[ptr[k]] < cut:
-                self._move(ptr[k], k, 1.0)
+                self._move(ptr[k], k)
                 ptr[k] += 1
-        if t < self._synced[0]:
-            for k in reversed(range(len(cuts))):
-                while ptr[k] and times[ptr[k] - 1] >= cuts[k]:
-                    ptr[k] -= 1
-                    self._move(ptr[k], k, -1.0)
         self._synced = (t, n)
 
-    def _move(self, r, k, step):
+    def _move(self, r, k):
+        """Move record r from bin k into bin k+1; from k = 0 it enters the
+        strict past, which sets its pair's visibility flags."""
         a, b = self._pairs[r]
         D, K1 = self.D, self._K1
         if k:
-            D[a, b, k] -= step
-            D[b, a, K1 + k] -= step
-        D[a, b, k + 1] += step
-        D[b, a, K1 + k + 1] += step
-        if not k:
-            D[a, b, 0] = D[b, a, K1] = 1.0 if step > 0 else float(D[a, b, 1:K1].any())
+            D[a, b, k] -= 1.0
+            D[b, a, K1 + k] -= 1.0
+        else:
+            D[a, b, 0] = D[b, a, K1] = 1.0
+        D[a, b, k + 1] += 1.0
+        D[b, a, K1 + k + 1] += 1.0
 
     # -- queries (strict past: records at exactly t do not count) ---------
-
-    def dyadic_counts(self, t, i, j):
-        """(send, receive) binned counts for the pair at time t."""
-        self._sync(t)
-        send, receive = np.split(self.D[i, j], 2)
-        return send[1:].copy(), receive[1:].copy()
 
     def _paths(self, side, i, js):
         """Two-paths from i to each of js whose first leg is i->h (side 0)
@@ -363,23 +343,9 @@ class DynamicState:
         out[:, self.spec.static_dim:] = block[:, self._cols]
         return out
 
-    def triadic_counts(self, t, i, j, effects=TRIADIC_EFFECTS):
-        """Dict effect -> K x K matrix of middle-actor leg-pair counts."""
-        self._sync(t)
-        K1 = self._K1
-        by_side = [self._paths(s, i, [j]).reshape(K1, 2, K1) for s in (0, 1)]
-        return {e: by_side[_LEGS[e][0]][1:, _LEGS[e][1], 1:] for e in effects}
-
-    def delta_x(self, t, i, j):
-        """Dynamic design vector of pair (i, j) at time t, static slots 0."""
-        return self.rows(t, i, [j])[0]
-
-    def active_receivers(self, i):
-        """Sparse support: superset of {j : delta_x(., i, j) != 0}."""
-        return set(np.flatnonzero(self._active[i]).tolist())
-
     def delta_rows(self, t, i):
-        """(sorted receiver ids, matrix of delta_x rows) for sender i."""
+        """(sorted ids of the sparse support of sender i, their dynamic
+        rows at time t)."""
         js = np.flatnonzero(self._active[i])
         return js.tolist(), self.rows(t, i, js)
 
@@ -388,8 +354,3 @@ class DynamicState:
 #: and of its second leg (0: h->j, 1: j->h).
 _LEGS = {"2-send": (0, 0), "cosibling": (0, 1), "2-receive": (1, 1),
          "sibling": (1, 0)}
-
-
-def covariate_vector(state, static_design, t, i, j):
-    """Full design vector x_t(i, j) = static + dynamic."""
-    return static_design.x0_pair(i, j) + state.delta_x(t, i, j)

@@ -23,6 +23,8 @@ over the sender's middle actors per first-leg direction.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .covariates import DynamicState, StaticDesign
@@ -161,9 +163,6 @@ class PreparedDesign:
         s, e = self.row_start[m], self.row_start[m + 1]
         return self.row_j[s:e], self.dX[s:e], self.row_inrisk[s:e]
 
-    def receivers(self, m):
-        return self.recv_j[self.recv_start[m]:self.recv_start[m + 1]]
-
     def dense_x(self, m):
         """Full (A, p) design matrix for event m (oracle/exact paths)."""
         x = self.static.x0(self.ev_class[m]).copy()
@@ -196,7 +195,8 @@ class PreparedDesign:
         cols = np.asarray(cols, dtype=np.intp)
         out = object.__new__(PreparedDesign)
         out.spec = self.spec
-        out.static = _ColumnSubsetStatic(self.static, cols)
+        out.static = copy.copy(self.static)
+        out.static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
         out.policy = self.policy
         out.actor_count = self.actor_count
         out.term_names = [self.term_names[c] for c in cols]
@@ -212,22 +212,6 @@ class PreparedDesign:
 
     def column_indices(self, names):
         return [self.term_names.index(n) for n in names]
-
-
-class _ColumnSubsetStatic:
-    """Column-restricted view of a StaticDesign (used by subset designs)."""
-
-    def __init__(self, base, cols):
-        self.class_of = base.class_of
-        self.n_classes = base.n_classes
-        self._x0 = np.ascontiguousarray(base._x0[:, :, cols])
-        self.spec = base.spec
-
-    def x0(self, c):
-        return self._x0[c]
-
-    def x0_pair(self, i, j):
-        return self._x0[self.class_of[i], j]
 
 
 def prepare(stream, spec, traits=None, policy=None):

@@ -83,12 +83,13 @@ def residual_df(actor_count, p):
     return actor_count * (actor_count - 1) - p
 
 
-def residual_summary(report, quantiles=(0.5, 0.95)):
-    """Quantiles of |Pearson residual|, the maximum, and the X^2 total."""
+def residual_summary(report):
+    """Median and 95% quantile of |Pearson residual|, the maximum, and the
+    X^2 total."""
     vals = np.abs(report.pearson[np.isfinite(report.pearson)])
     if vals.size == 0:
         raise ValueError("no finite residuals to summarize")
-    out = {f"q{int(100 * q)}": float(np.quantile(vals, q)) for q in quantiles}
+    out = {f"q{int(100 * q)}": float(np.quantile(vals, q)) for q in (0.5, 0.95)}
     out["max"] = float(vals.max())
     out["x2"] = report.x2
     out["df_approx"] = report.df_approx

@@ -29,11 +29,6 @@ def esp_table(w, L):
     return table
 
 
-def esp_values(w, L):
-    """e_0..e_L of the weights."""
-    return esp_table(w, L)[-1]
-
-
 def esp_grad_hess(w, X, L):
     """(e_L, gradient, Hessian) of the subset-sum generating sums.
 

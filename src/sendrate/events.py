@@ -103,13 +103,6 @@ class EventStream:
     def __getitem__(self, m):
         return self.events[m]
 
-    @property
-    def times(self):
-        return np.array([e.time for e in self.events])
-
-    def max_size(self):
-        return max(e.size for e in self.events)
-
 
 class ActorTraits:
     """Binary trait indicators, one row per actor, named columns."""
@@ -150,10 +143,6 @@ class ActorTraits:
         return ActorTraits(names, np.hstack(cols))
 
 
-def empty_traits(actor_count):
-    return ActorTraits([], np.zeros((actor_count, 0)))
-
-
 class RiskSetPolicy:
     """Receiver eligibility: who sender i may contact at time t.
 
@@ -185,10 +174,6 @@ class RiskSetPolicy:
         m = np.zeros(actor_count, dtype=bool)
         m[self.risk_set(t, i, actor_count)] = True
         return m
-
-
-def risk_set(policy, t, i, actor_count):
-    return policy.risk_set(t, i, actor_count)
 
 
 @dataclass

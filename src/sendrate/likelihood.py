@@ -21,7 +21,7 @@ A dense per-event oracle is kept alongside for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,18 +36,12 @@ _CHUNK_BYTES = 8 << 20
 _L_MAX = 6  # largest receiver-set size the exact variant evaluates
 
 
-class DegenerateSenderError(StreamError):
-    """Effective risk set carries zero total weight."""
-
-
 @dataclass
 class LikelihoodReport:
     logpl: float
     score: np.ndarray | None = None
     info: np.ndarray | None = None
     terms: np.ndarray | None = None
-    n_events: int = 0
-    n_decisions: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +86,11 @@ def _risk_weights(design, beta, events):
 
     Rows of the (events, A) weight matrix are the selection weights of each
     event's receivers: zero outside the risk set, at most 1, and exactly 1
-    at the heaviest receiver.
+    at the heaviest receiver.  Replay gives every event an in-risk
+    receiver, so c is finite wherever beta is.
     """
     S = _log_weights(design, beta, events)
     c = S.max(axis=1)
-    if not np.isfinite(c).all():
-        bad = int(events[np.argmax(~np.isfinite(c))])
-        raise DegenerateSenderError(f"empty risk set at event {bad}")
     return c, np.exp(S - c[:, None])
 
 
@@ -157,9 +149,7 @@ def _eval_blocks(design, beta, order, keep_terms):
             M += Xf.T @ Xf
 
     xtot = _xsum_total(design)
-    report = LikelihoodReport(float(xtot @ beta - mass @ logW),
-                              n_events=design.n_events,
-                              n_decisions=design.n_decisions)
+    report = LikelihoodReport(float(xtot @ beta - mass @ logW))
     if keep_terms:
         report.terms = (design.xsum @ beta
                         - design.ev_size * logW[design.ev_block])
@@ -209,10 +199,6 @@ def _eval_exact(design, beta, order, keep_terms):
     Lmax = int(sizes.max())
     if Lmax > _L_MAX:
         raise StreamError(f"receiver-set size {Lmax} exceeds limit {_L_MAX}")
-    if (sizes > design.ev_risk).any():
-        bad = int(np.argmax(sizes > design.ev_risk))
-        raise StreamError(f"event {bad}: {sizes[bad]} receivers exceed risk "
-                          f"set of {design.ev_risk[bad]}")
 
     logW = np.empty(n)
     score = np.zeros(p)
@@ -245,8 +231,7 @@ def _eval_exact(design, beta, order, keep_terms):
             M += X.reshape(-1, p).T @ np.matmul(Q, X).reshape(-1, p)
 
     terms = design.xsum @ beta - logW
-    report = LikelihoodReport(float(terms.sum()), n_events=n,
-                              n_decisions=design.n_decisions,
+    report = LikelihoodReport(float(terms.sum()),
                               terms=terms if keep_terms else None)
     if order >= 1:
         report.score = score
@@ -297,8 +282,7 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
                 info += S2 / S0 - np.outer(S1 / S0, S1 / S0)
     return LikelihoodReport(float(logpl),
                             score if order >= 1 else None,
-                            0.5 * (info + info.T) if order >= 2 else None,
-                            n_events=n, n_decisions=design.n_decisions)
+                            0.5 * (info + info.T) if order >= 2 else None)
 
 
 def selection_probabilities(design, beta):
@@ -308,29 +292,3 @@ def selection_probabilities(design, beta):
                          np.arange(design.n_events))
     w /= w.sum(axis=1)[:, None]
     return w
-
-
-@dataclass
-class GrowthSequence:
-    """Cumulative multicast mass 1{|J|>1} / |risk set| per event index."""
-
-    g: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    @property
-    def final(self):
-        return float(self.g[-1]) if len(self.g) else 0.0
-
-
-def growth_sequence(stream, policy=None):
-    from .events import RiskSetPolicy
-
-    policy = policy or RiskSetPolicy()
-    inc = []
-    for ev in stream:
-        if ev.size > 1:
-            risk = len(policy.risk_set(ev.time, ev.sender, stream.actor_count))
-            inc.append(1.0 / risk)
-        else:
-            inc.append(0.0)
-    return GrowthSequence(np.cumsum(inc))
-

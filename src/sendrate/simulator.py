@@ -83,14 +83,17 @@ class SimConfig:
     def from_json(cls, obj, traits=None):
         require_keys(obj, ("actor_count", "beta_true", "covariates"),
                      "simulation config")
-        return cls(actor_count=obj["actor_count"],
-                   beta_true=np.asarray(obj["beta_true"]),
+        try:
+            beta = np.asarray(obj["beta_true"], dtype=np.float64)
+            baseline = np.asarray(obj.get("baseline", 1.0), dtype=np.float64)
+            sizes = {int(k): float(v) for k, v in
+                     obj.get("size_weights", {"1": 1.0}).items()}
+        except (TypeError, ValueError) as exc:
+            raise StreamError(f"simulation config: {exc}") from None
+        return cls(actor_count=obj["actor_count"], beta_true=beta,
                    spec=CovariateSpec.from_json(obj["covariates"]),
-                   seed=obj.get("seed", 0),
-                   baseline=np.asarray(obj.get("baseline", 1.0)),
-                   size_weights={int(k): float(v) for k, v in
-                                 obj.get("size_weights", {"1": 1.0}).items()},
-                   n_events=obj.get("n_events"),
+                   seed=obj.get("seed", 0), baseline=baseline,
+                   size_weights=sizes, n_events=obj.get("n_events"),
                    horizon=obj.get("horizon"),
                    traits=traits)
 
@@ -138,7 +141,7 @@ class _Engine:
             self.logS[i] = -np.inf
             return
         self.wrel[i] = np.exp(row - top)
-        e = esp.esp_values(self.wrel[i], self.l_max)
+        e = esp.esp_table(self.wrel[i], self.l_max)[-1]
         self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
 
     def _refresh_pairs(self, pairs, t_eval):

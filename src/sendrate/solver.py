@@ -1,9 +1,11 @@
 """Damped-Newton maximization of the log partial likelihood, with standard
 errors, Wald tests, and sequential analysis-of-deviance tables.
 
-Ascent is guaranteed by backtracking on the objective; singular information
-triggers an escalating ridge on the diagonal and the affected coefficients
-are flagged instead of silently projected away.
+Ascent is guaranteed by backtracking on the objective: the step is halved
+until logpl rises by at least 1e-4 of the predicted gain.  Singular
+information triggers a diagonal ridge, from 1e-8 of the information's
+largest entry up tenfold to 1e-2, and the affected coefficients are
+flagged instead of silently projected away.
 """
 
 from __future__ import annotations
@@ -18,26 +20,24 @@ from . import likelihood
 from .events import StreamError, require_keys
 
 
-class NotConvergedError(StreamError):
-    pass
-
-
 class SingularInformationError(StreamError):
     pass
 
 
+_SHRINK = 0.5                   # line-search step factor
+_SUFFICIENT_INCREASE = 1e-4     # share of the predicted gain a step must earn
+_RIDGE_INIT, _RIDGE_MAX = 1e-8, 1e-2    # relative to the largest |info| entry
+
+
 @dataclass
 class SolverConfig:
-    grad_tol: float = 1e-8            # scaled by the selection-decision count
+    """Newton's stopping rule: the score's sup-norm at most ``grad_tol``
+    times the selection-decision count, within ``max_iters`` steps."""
+
+    grad_tol: float = 1e-8
     max_iters: int = 100
-    shrink: float = 0.5
-    sufficient_decrease: float = 1e-4
-    ridge_init: float = 1e-8
-    ridge_max: float = 1e-2
 
     def __post_init__(self):
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must be in (0, 1)")
         if self.grad_tol <= 0 or self.max_iters <= 0:
             raise ValueError("tolerances must be positive")
 
@@ -61,14 +61,6 @@ class FitResult:
     #: why Newton stopped: "converged", "max_iters" or "line_search" (no
     #: step length raised the objective); None if read from an older file
     stop_reason: str | None = None
-
-    @property
-    def residual_deviance(self):
-        return -2.0 * self.logpl
-
-    @property
-    def residual_df(self):
-        return self.n_decisions - len(self.beta)
 
     def to_json(self):
         return {
@@ -94,8 +86,14 @@ class FitResult:
         require_keys(obj, ("beta", "se", "cov", "logpl", "n_events",
                            "n_decisions", "iterations", "converged", "terms",
                            "variant", "overdispersion"), "fit result")
-        p = len(obj["beta"])
-        return cls(beta=np.array(obj["beta"]), se=np.array(obj["se"]),
+        try:
+            beta = np.array(obj["beta"], dtype=np.float64)
+        except (TypeError, ValueError):
+            raise StreamError("fit result: beta must be a list of numbers") from None
+        if not np.isfinite(beta).all():
+            raise StreamError("fit result: beta holds NaN or infinity")
+        p = len(beta)
+        return cls(beta=beta, se=np.array(obj["se"]),
                    cov=np.array(obj["cov"]).reshape(p, p),
                    logpl=obj["logpl"], n_events=obj["n_events"],
                    n_decisions=obj["n_decisions"],
@@ -117,9 +115,8 @@ class FitResult:
             return cls.from_json(json.load(fh))
 
 
-def _newton_direction(info, score, config):
-    """Solve info @ step = score, escalating a diagonal ridge as needed.
-    Returns (step, ridge_used)."""
+def _newton_direction(info, score):
+    """Solve info @ step = score, escalating a diagonal ridge as needed."""
     p = len(score)
     ridge = 0.0
     scale = max(np.abs(info).max(), 1.0)
@@ -130,9 +127,9 @@ def _newton_direction(info, score, config):
             step = None
         if step is not None and np.isfinite(step).all() \
                 and step @ score >= 0:
-            return step, ridge
-        ridge = config.ridge_init if ridge == 0.0 else ridge * 10.0
-        if ridge > config.ridge_max:
+            return step
+        ridge = _RIDGE_INIT if ridge == 0.0 else ridge * 10.0
+        if ridge > _RIDGE_MAX:
             raise SingularInformationError(
                 "information singular after maximal ridge escalation")
 
@@ -159,29 +156,24 @@ def _newton(design, variant, config, beta, rep):
     trace = [rep.logpl]
     converged = gave_up = False
     iterations = 0
-    ridge_seen = 0.0
     for iterations in range(1, config.max_iters + 1):
         gnorm = float(np.abs(rep.score).max())
         if gnorm <= scale:
             converged = True
             iterations -= 1
             break
-        step, ridge = _newton_direction(rep.info, rep.score, config)
-        ridge_seen = max(ridge_seen, ridge)
+        step = _newton_direction(rep.info, rep.score)
         slope = float(step @ rep.score)
         alpha = 1.0
         accepted = None
         for _ in range(60):
             cand = beta + alpha * step
-            try:
-                cand_rep = likelihood.evaluate(design, cand, variant, order=0)
-            except likelihood.DegenerateSenderError:
-                cand_rep = None
-            if cand_rep is not None and np.isfinite(cand_rep.logpl) and \
-                    cand_rep.logpl >= rep.logpl + config.sufficient_decrease * alpha * slope:
+            cand_rep = likelihood.evaluate(design, cand, variant, order=0)
+            if np.isfinite(cand_rep.logpl) and cand_rep.logpl >= \
+                    rep.logpl + _SUFFICIENT_INCREASE * alpha * slope:
                 accepted = cand
                 break
-            alpha *= config.shrink
+            alpha *= _SHRINK
         if accepted is None:
             gave_up = True
             break
@@ -218,15 +210,6 @@ def _newton(design, variant, config, beta, rep):
                      grad_norm=gnorm, overdispersion=phi,
                      unidentifiable=unident, logpl_trace=trace,
                      stop_reason=stop_reason)
-
-
-def standard_errors(result, overdispersion_adjust=False):
-    """sqrt of the inverse-information diagonal, optionally scaled by
-    sqrt(phi) as an overdispersion adjustment."""
-    se = result.se.copy()
-    if overdispersion_adjust:
-        se *= math.sqrt(result.overdispersion)
-    return se
 
 
 def wald_tests(result, alpha=1e-3):
@@ -277,13 +260,14 @@ class DevianceTable:
 
 
 def deviance_table(design, term_groups, variant="approx_multicast",
-                   config=None, warm=True):
+                   config=None):
     """Sequential analysis of deviance over cumulative nested models.
 
     ``term_groups`` is an ordered list of (name, [term names]) partitioning
     the design columns.  Residual deviance is twice the negative log partial
     likelihood; the null row uses beta = 0 and carries the total
-    selection-decision count as its residual degrees of freedom.
+    selection-decision count as its residual degrees of freedom.  Each model
+    starts from the previous one's estimate, with the new terms at 0.
     """
     config = config or SolverConfig()
     seen = []
@@ -302,7 +286,7 @@ def deviance_table(design, term_groups, variant="approx_multicast",
         cols += design.column_indices(terms)
         sub = design.subset(cols)
         beta0 = None
-        if warm and beta_prev is not None:
+        if beta_prev is not None:
             beta0 = np.concatenate([beta_prev, np.zeros(len(terms))])
         res = fit(sub, variant, config, beta0=beta0)
         beta_prev = res.beta

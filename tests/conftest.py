@@ -52,6 +52,11 @@ def recovery_design(traits, run):
     return prepare(simulate(cfg), spec, traits=traits)
 
 
+def covariate_vector(state, static, t, i, j):
+    """Full design vector of pair (i, j) at time t: static plus dynamic."""
+    return static.x0_pair(i, j) + state.rows(t, i, [j])[0]
+
+
 def brute_covariates(stream, spec, static, t, i, j):
     """Design vector recomputed from the raw event list.
 

@@ -19,8 +19,7 @@ import pytest
 from sendrate import (ActorTraits, BootstrapConfig, CovariateSpec, Event,
                       EventStream, IntervalScheme, SimConfig, bootstrap_bias,
                       dense_oracle, evaluate, expected_counts, fit,
-                      growth_sequence, ingest_events, ingest_traits, prepare,
-                      simulate)
+                      ingest_events, ingest_traits, prepare, simulate)
 from sendrate import solver
 from sendrate.bootstrap import substream_seed
 from sendrate.esp import esp_grad_hess

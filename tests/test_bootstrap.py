@@ -4,9 +4,9 @@ from numpy.testing import assert_allclose
 
 from sendrate import (BootstrapConfig, CovariateSpec, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, SimConfig, StreamError,
-                      bootstrap_bias, draw_replicate, fit, prepare, simulate,
-                      solver)
-from sendrate.bootstrap import SAMPLERS, _replicate_design, substream
+                      bootstrap_bias, fit, prepare, simulate, solver)
+from sendrate.bootstrap import (_REFIT_MAX_ITERS, SAMPLERS, _draw,
+                                _replicate_design, substream)
 from sendrate.likelihood import selection_probabilities
 from sendrate.solver import SolverConfig
 
@@ -18,6 +18,12 @@ MIN = 60.0
 def send_recv_spec():
     return CovariateSpec(dyadic=[("send", "indicator"),
                                  ("receive", "indicator")])
+
+
+def draw_replicate(design, beta, rng, sampler="sequential_wor"):
+    """One replicate's receiver sets, one index array per event."""
+    probs = selection_probabilities(design, beta)
+    return np.split(_draw(design, probs, rng, sampler), design.recv_start[1:-1])
 
 
 def simulated_design(seed=5, actors=8, n=400, sizes=None):
@@ -119,9 +125,9 @@ class TestReplicateDesign:
         # integer entries, which the vectorised sums rely on to be exact
         assert np.array_equal(design.dX, np.round(design.dX))
         assert np.array_equal(design.static._x0, np.round(design.static._x0))
+        observed = np.split(design.recv_j, design.recv_start[1:-1])
         assert np.array_equal(design.xsum, [
-            xsum_for(design, m, design.receivers(m))
-            for m in range(design.n_events)])
+            xsum_for(design, m, js) for m, js in enumerate(observed)])
         beta = rng.normal(0, 0.3, size=design.p)
         for r, sampler in enumerate(SAMPLERS):
             recv = draw_replicate(design, beta, substream(2, r), sampler)
@@ -173,13 +179,11 @@ class TestBootstrapBias:
         res = fit(design, "approx_multicast")
         cfg = BootstrapConfig(replicates=6, seed=3)
         report = bootstrap_bias(design, res, cfg)
-        probs = selection_probabilities(design, res.beta)
         want = []
         for r in range(cfg.replicates):
-            recv = draw_replicate(design, res.beta, substream(cfg.seed, r),
-                                  probs=probs)
+            recv = draw_replicate(design, res.beta, substream(cfg.seed, r))
             one = fit(_replicate_design(design, np.concatenate(recv)),
-                      "approx_multicast", SolverConfig(max_iters=cfg.max_iters),
+                      "approx_multicast", SolverConfig(max_iters=_REFIT_MAX_ITERS),
                       beta0=res.beta)
             want.append(one.beta)
         assert report.skipped == 0
@@ -197,6 +201,20 @@ class TestBootstrapBias:
         assert [e["reason"] for e in report.skip_reasons] == \
             ["max_iters"] * report.skipped
         assert report.to_json()["skip_reasons"] == report.skip_reasons
+
+    def test_every_replicate_skipped_raises(self):
+        # with one Newton step no refit converges on this stream
+        design = simulated_design(n=300, sizes={1: 1.0, 2: 0.5, 3: 0.2})
+        res = fit(design, "approx_multicast")
+        with pytest.raises(StreamError, match="every bootstrap replicate"):
+            bootstrap_bias(design, res, BootstrapConfig(replicates=4, seed=0),
+                           solver_config=SolverConfig(max_iters=1))
+
+    def test_fits_first_without_a_fit(self):
+        design = simulated_design(n=200, sizes={1: 1.0, 2: 0.2})
+        cfg = BootstrapConfig(replicates=3, seed=2)
+        want = bootstrap_bias(design, fit(design, "approx_multicast"), cfg)
+        assert bootstrap_bias(design, config=cfg).to_json() == want.to_json()
 
     def test_raising_replicate_records_its_error(self, monkeypatch):
         design = simulated_design(n=200)

@@ -83,6 +83,16 @@ class TestSimulateAndFit:
                 "--out", out)
         assert open("b1.json").read() == open("b2.json").read()
 
+    def test_bootstrap_fits_without_fit_file(self, workdir):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        run("fit", "--events", "e.csv", "--spec", "spec.json",
+            "--out", "fit.json")
+        for out, given in (("b1.json", ["--fit", "fit.json"]), ("b2.json", [])):
+            assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
+                       "--replicates", "3", "--seed", "5", "--out", out,
+                       *given) == 0
+        assert open("b1.json").read() == open("b2.json").read()
+
     def test_deviance_table_output(self, workdir):
         run("simulate", "--config", "sim.json", "--out", "e.csv")
         assert run("fit", "--events", "e.csv", "--spec", "spec.json",
@@ -170,6 +180,40 @@ class TestExitCodes:
         (workdir / "bad_fit.json").write_text(json.dumps({"beta": [0.0, 0.0]}))
         assert run("diagnose", "--fit", "bad_fit.json", "--events", "e.csv",
                    "--spec", "spec.json", "--out", "diag.") == 1
+
+    def test_nonpositive_count_is_64(self, workdir):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        assert run("fit", "--events", "e.csv", "--spec", "spec.json",
+                   "--max-iters", "0") == 64
+        assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
+                   "--replicates", "0") == 64
+
+    @pytest.mark.parametrize("field, value", [
+        ("size_weights", {"x": 1.0}),
+        ("baseline", "abc"),
+        ("covariates", dict(SIM_CONFIG["covariates"], intervals_seconds=["a"]))])
+    def test_sim_config_with_bad_value_is_1(self, workdir, capsys, field, value):
+        (workdir / "bad_sim.json").write_text(
+            json.dumps(dict(SIM_CONFIG, **{field: value})))
+        assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, value", [("diagnose", "nan"),
+                                                ("bootstrap", "inf"),
+                                                ("bootstrap", "-inf")])
+    def test_fit_file_with_nonfinite_beta_is_1(self, workdir, capsys,
+                                               command, value):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        run("fit", "--events", "e.csv", "--spec", "spec.json",
+            "--out", "fit.json")
+        obj = json.loads(open("fit.json").read())
+        obj["beta"][0] = float(value)      # written as NaN / Infinity
+        (workdir / "bad_fit.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        extra = ["--replicates", "2"] if command == "bootstrap" else []
+        assert run(command, "--fit", "bad_fit.json", "--events", "e.csv",
+                   "--spec", "spec.json", *extra) == 1
+        assert "beta" in capsys.readouterr().err
 
     def test_programming_error_propagates(self, workdir, monkeypatch):
         def broken(args):

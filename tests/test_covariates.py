@@ -3,11 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
-                      IntervalScheme, StaticDesign, StreamError,
-                      covariate_vector, prepare, second_order_static_terms)
+                      IntervalScheme, StaticDesign, StreamError, prepare,
+                      second_order_static_terms)
 from sendrate.covariates import DEFAULT_BOUNDARIES, DynamicState
 
-from conftest import brute_covariates, random_stream, random_traits
+from conftest import (brute_covariates, covariate_vector, random_stream,
+                      random_traits)
 
 MIN = 60.0
 HOUR = 3600.0
@@ -15,6 +16,23 @@ HOUR = 3600.0
 
 def make_state(spec, actors):
     return DynamicState(spec, actors)
+
+
+def pair_counts(state, t, i, j):
+    """(send, receive) binned counts of pair (i, j) at time t, under a spec
+    with both effects in ``both`` form."""
+    row = state.rows(t, i, [j])[0]
+    K = state.spec.scheme.K
+    return row[1:K + 1], row[K + 2:2 * K + 2]
+
+
+def triadic_bins(state, t, i, j, effect):
+    """K x K binned counts of a triadic effect of pair (i, j) at time t,
+    first-leg bin by second-leg bin."""
+    K = state.spec.scheme.K
+    cols = [c for c, name in enumerate(state.spec.term_names)
+            if name.startswith(effect + "[")]
+    return state.rows(t, i, [j])[0, cols].reshape(K, K)
 
 
 class TestIntervalScheme:
@@ -39,11 +57,12 @@ class TestIntervalScheme:
         state.advance(Event(99.0, 0, (1,)))
         state.advance(Event(100.0, 0, (1,)))
         # the record exactly at the query time has age zero: excluded
-        assert state.dyadic_counts(100.0, 0, 1)[0].tolist() == [1, 0, 0]
+        # (the spec's columns are the send bins)
+        assert state.rows(100.0, 0, [1])[0].tolist() == [1, 0, 0]
         # a record exactly b_1 old is still in bin 1; a hair older, in bin 2
-        assert state.dyadic_counts(99.0 + 30 * MIN, 0, 1)[0].tolist() == [2, 0, 0]
+        assert state.rows(99.0 + 30 * MIN, 0, [1])[0].tolist() == [2, 0, 0]
         later = np.nextafter(99.0 + 30 * MIN, np.inf)
-        assert state.dyadic_counts(later, 0, 1)[0].tolist() == [1, 1, 0]
+        assert state.rows(later, 0, [1])[0].tolist() == [1, 1, 0]
 
 
 class TestSpec:
@@ -112,37 +131,37 @@ class TestDynamicCounts:
 
     def test_no_history_all_zero(self):
         state = make_state(self.spec(), 4)
-        send, recv = state.dyadic_counts(0.0, 0, 1)
+        send, recv = pair_counts(state, 0.0, 0, 1)
         assert not send.any() and not recv.any()
 
     def test_single_message_one_hour_old_in_second_bin(self):
         state = make_state(self.spec(), 4)
         state.advance(Event(0.0, 0, (1,)))
-        send, recv = state.dyadic_counts(HOUR, 0, 1)
+        send, recv = pair_counts(state, HOUR, 0, 1)
         assert send.tolist() == [0, 1, 0]
-        send_back, recv_back = state.dyadic_counts(HOUR, 1, 0)
+        send_back, recv_back = pair_counts(state, HOUR, 1, 0)
         assert recv_back.tolist() == [0, 1, 0] and not send_back.any()
 
     def test_three_fresh_messages_first_bin(self):
         state = make_state(self.spec(), 4)
         for t in (0.0, 10.0, 20.0):
             state.advance(Event(t, 0, (1,)))
-        send, _ = state.dyadic_counts(80.0, 0, 1)
+        send, _ = pair_counts(state, 80.0, 0, 1)
         assert send[0] == 3
 
     def test_rebinning_with_age(self):
         state = make_state(self.spec(), 4)
         state.advance(Event(0.0, 0, (1,)))
-        send, _ = state.dyadic_counts(25 * MIN, 0, 1)
+        send, _ = pair_counts(state, 25 * MIN, 0, 1)
         assert send.tolist() == [1, 0, 0]
-        send, _ = state.dyadic_counts(35 * MIN, 0, 1)
+        send, _ = pair_counts(state, 35 * MIN, 0, 1)
         assert send.tolist() == [0, 1, 0]
 
     def test_multicast_fans_out(self):
         state = make_state(self.spec(), 4)
         state.advance(Event(0.0, 0, (1, 2)))
-        assert state.dyadic_counts(1.0, 0, 1)[0].sum() == 1
-        assert state.dyadic_counts(1.0, 0, 2)[0].sum() == 1
+        assert pair_counts(state, 1.0, 0, 1)[0].sum() == 1
+        assert pair_counts(state, 1.0, 0, 2)[0].sum() == 1
 
     def test_bin_conservation(self, rng):
         spec = self.spec()
@@ -155,7 +174,7 @@ class TestDynamicCounts:
                 totals[(e.sender, j)] = totals.get((e.sender, j), 0) + 1
         t = stream.events[-1].time + 1e9
         for (i, j), total in totals.items():
-            send, _ = state.dyadic_counts(t, i, j)
+            send, _ = pair_counts(state, t, i, j)
             assert send.sum() == total
 
     def test_monotone_aging(self):
@@ -163,7 +182,7 @@ class TestDynamicCounts:
         state.advance(Event(0.0, 0, (1,)))
         last_bin = 0
         for t in np.linspace(1.0, 3 * HOUR, 37):
-            send, _ = state.dyadic_counts(t, 0, 1)
+            send, _ = pair_counts(state, t, 0, 1)
             b = int(np.argmax(send))
             assert b >= last_bin
             last_bin = b
@@ -181,18 +200,18 @@ class TestTriadic:
         t = 20 * MIN
         state.advance(Event(t - 10 * MIN, 0, (2,)))   # i -> h, age 10m
         state.advance(Event(t - 5 * MIN, 2, (1,)))    # h -> j, age 5m
-        tri = state.triadic_counts(t, 0, 1)
-        assert tri["2-send"][0, 0] == 1
-        assert tri["2-send"].sum() == 1
+        two_send = triadic_bins(state, t, 0, 1, "2-send")
+        assert two_send[0, 0] == 1
+        assert two_send.sum() == 1
 
     def test_sibling_mixed_bins(self):
         state = make_state(self.spec(), 4)
         t = 4 * HOUR
         state.advance(Event(t - 3 * HOUR, 2, (1,)))   # h -> j, age 3h: bin 3
         state.advance(Event(t - 10 * MIN, 2, (0,)))   # h -> i, age 10m: bin 1
-        tri = state.triadic_counts(t, 0, 1)
-        assert tri["sibling"][0, 2] == 1
-        assert tri["sibling"].sum() == 1
+        sibling = triadic_bins(state, t, 0, 1, "sibling")
+        assert sibling[0, 2] == 1
+        assert sibling.sum() == 1
 
     def test_middle_actor_excludes_endpoints(self, rng):
         # brute-force enumeration over all record pairs on a random stream
@@ -250,16 +269,13 @@ class TestSparseDenseEquivalence:
         stream = random_stream(rng, actors=actors, n=80, max_size=2,
                                gap=20 * MIN)
         state = DynamicState(spec, actors)
-        static = StaticDesign(spec, None, actors)
         for e in stream:
             state.advance(e)
         t = stream.events[-1].time + 1.0
         for i in range(actors):
-            active = state.active_receivers(i)
-            for j in range(actors):
-                if j == i or j in active:
-                    continue
-                assert not state.delta_x(t, i, j).any()
+            active, _ = state.delta_rows(t, i)
+            outside = [j for j in range(actors) if j != i and j not in active]
+            assert not state.rows(t, i, outside).any()
 
     def test_predictability_same_timestamp_excluded(self):
         spec = self.full_spec()
@@ -301,22 +317,22 @@ class TestActiveReceivers:
     def test_empty_history(self):
         spec = CovariateSpec(dyadic=[("send", "indicator")])
         state = DynamicState(spec, 4)
-        assert state.active_receivers(0) == set()
+        assert state.delta_rows(0.0, 0)[0] == []
 
     def test_send_and_receive_effects(self):
         spec = CovariateSpec(dyadic=[("send", "indicator"),
                                      ("receive", "indicator")])
         state = DynamicState(spec, 4)
         state.advance(Event(1.0, 0, (1,)))
-        assert 1 in state.active_receivers(0)
-        assert 0 in state.active_receivers(1)
+        assert 1 in state.delta_rows(2.0, 0)[0]
+        assert 0 in state.delta_rows(2.0, 1)[0]
 
     def test_triadic_closure_activates(self):
         spec = CovariateSpec(triadic=[("2-send", "indicator")])
         state = DynamicState(spec, 4)
         state.advance(Event(1.0, 0, (2,)))   # i -> h
         state.advance(Event(2.0, 2, (1,)))   # h -> j
-        assert 1 in state.active_receivers(0)
+        assert 1 in state.delta_rows(3.0, 0)[0]
 
 
 class TestCountTensor:
@@ -366,14 +382,17 @@ class TestCountTensor:
         for e in stream:
             state.advance(e)
         end = stream.events[-1].time
-        for t in (end + 4 * HOUR, end + 1.0, end, end - 40 * MIN, end + HOUR,
-                  end / 2, 0.0):
+        for t in sorted((end + 4 * HOUR, end + 1.0, end, end - 40 * MIN,
+                         end + HOUR, end / 2, 0.0)):
             for i in range(actors):
                 for j in range(actors):
                     if j != i:
                         assert np.array_equal(
                             covariate_vector(state, static, t, i, j),
                             brute_covariates(stream, spec, static, t, i, j))
+        # queries only go forward
+        with pytest.raises(StreamError, match="back in time"):
+            state.rows(end, 0, [1])
 
     def test_self_loops_are_no_middle_actor(self, rng):
         actors = 5
@@ -402,5 +421,5 @@ class TestCountTensor:
         t = stream.events[-1].time + 25 * MIN
         pairs = [(i, j) for i in range(actors) for j in range(actors) if i != j]
         senders, receivers = np.array(pairs).T
-        want = np.array([state.delta_x(t, i, j) for i, j in pairs])
+        want = np.array([state.rows(t, i, [j])[0] for i, j in pairs])
         assert np.array_equal(state.rows(t, senders, receivers), want)

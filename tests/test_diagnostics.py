@@ -96,7 +96,7 @@ class TestSummary:
     def test_all_zero(self):
         observed = np.ones((3, 3)) - np.eye(3)
         rep = residuals(PairCounts(observed, observed.copy(), "duplication"))
-        s = residual_summary(rep, quantiles=(0.5, 0.95))
+        s = residual_summary(rep)
         assert s["q50"] == 0.0 and s["q95"] == 0.0 and s["x2"] == 0.0
 
     def test_plus_minus_ones(self):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sendrate.esp import (esp_grad_hess, esp_table, esp_values,
-                          sample_exponential_keys, sample_fixed_size)
+from sendrate.esp import (esp_grad_hess, esp_table, sample_exponential_keys,
+                          sample_fixed_size)
 
 
 def brute_esp(w, L):
@@ -46,11 +46,11 @@ def loop_suffix_table(w, L):
 
 class TestValues:
     def test_equal_weights(self):
-        e = esp_values([1.0, 1.0, 1.0], 2)
+        e = esp_table([1.0, 1.0, 1.0], 2)[-1]
         assert e[2] == 3.0   # three equal pairs
 
     def test_hand_enumeration(self):
-        e = esp_values([1.0, 2.0, 3.0], 2)
+        e = esp_table([1.0, 2.0, 3.0], 2)[-1]
         assert e[2] == 11.0  # 1*2 + 1*3 + 2*3
 
     def test_random_vs_enumeration(self, rng):
@@ -58,12 +58,12 @@ class TestValues:
             n = int(rng.integers(3, 10))
             L = int(rng.integers(1, min(n, 5)))
             w = rng.uniform(0.1, 3.0, size=n)
-            assert_allclose(esp_values(w, L)[L], brute_esp(w.tolist(), L),
+            assert_allclose(esp_table(w, L)[-1, L], brute_esp(w.tolist(), L),
                             rtol=1e-12)
 
     def test_zeros_are_transparent(self, rng):
         w = np.array([0.0, 2.0, 0.0, 3.0, 4.0])
-        assert_allclose(esp_values(w, 2)[2], brute_esp(w.tolist(), 2))
+        assert_allclose(esp_table(w, 2)[-1, 2], brute_esp(w.tolist(), 2))
 
     def test_table_equals_loop_recurrence(self, rng):
         # same products added in the same order: equal to the last bit,
@@ -75,7 +75,6 @@ class TestValues:
             w[rng.random(n) < 0.2] = 0.0
             table = esp_table(w, L)
             assert np.array_equal(table, loop_prefix_table(w, L))
-            assert np.array_equal(esp_values(w, L), loop_prefix_table(w, L)[-1])
             assert np.array_equal(esp_table(w[::-1], L)[::-1],
                                   loop_suffix_table(w, L))
         # a batch of weight vectors along the last axis: each row's table

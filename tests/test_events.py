@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from sendrate import (ActorTraits, Event, EventStream, RiskSetPolicy,
-                      StreamError, export_events, ingest_events, ingest_traits,
-                      risk_set)
+                      StreamError, export_events, ingest_events, ingest_traits)
 from sendrate.events import MalformedRowError
 
 
@@ -161,18 +160,18 @@ class TestTraits:
 class TestRiskSets:
     def test_all_but_sender(self):
         policy = RiskSetPolicy()
-        assert risk_set(policy, 0.0, 2, 4) == [0, 1, 3]
+        assert policy.risk_set(0.0, 2, 4) == [0, 1, 3]
 
     def test_all_but_sender_size_155(self):
         policy = RiskSetPolicy()
-        rs = risk_set(policy, 10.0, 17, 156)
+        rs = policy.risk_set(10.0, 17, 156)
         assert len(rs) == 155 and 17 not in rs
 
     def test_static_passthrough(self):
         policy = RiskSetPolicy("static", static_sets={0: {1, 2}})
-        assert risk_set(policy, 0.0, 0, 5) == [1, 2]
-        assert risk_set(policy, 99.0, 0, 5) == [1, 2]
+        assert policy.risk_set(0.0, 0, 5) == [1, 2]
+        assert policy.risk_set(99.0, 0, 5) == [1, 2]
 
     def test_deterministic(self):
         policy = RiskSetPolicy("callback", callback=lambda t, i: {1, 3})
-        assert risk_set(policy, 1.0, 0, 5) == risk_set(policy, 1.0, 0, 5)
+        assert policy.risk_set(1.0, 0, 5) == policy.risk_set(1.0, 0, 5)

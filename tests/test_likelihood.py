@@ -8,12 +8,12 @@ from numpy.testing import assert_allclose
 
 from sendrate import (CovariateSpec, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, StreamError, dense_oracle,
-                      evaluate, growth_sequence, prepare)
-from sendrate.covariates import DynamicState, StaticDesign, covariate_vector
+                      evaluate, prepare)
+from sendrate.covariates import DynamicState, StaticDesign
 from sendrate import likelihood
 from sendrate.likelihood import selection_probabilities
 
-from conftest import random_stream, random_traits
+from conftest import covariate_vector, random_stream, random_traits
 
 MIN = 60.0
 
@@ -448,28 +448,6 @@ class TestStructure:
                     for s in itertools.combinations(range(actors), L))
             term = design.xsum[m] @ beta - math.log(W)
             assert_allclose(rep.terms[m], term, rtol=1e-10)
-
-
-class TestGrowthSequence:
-    def test_all_singletons_zero(self, rng):
-        stream = random_stream(rng, actors=5, n=30)
-        gs = growth_sequence(stream)
-        assert gs.final == 0.0
-
-    def test_direct_formula(self):
-        events = [Event(1.0, 0, (1,)), Event(2.0, 0, (1, 2, 3)),
-                  Event(3.0, 1, (2, 3)), Event(4.0, 2, (3,))]
-        stream = EventStream(events, 11)
-        gs = growth_sequence(stream)
-        assert_allclose(gs.g, [0.0, 0.1, 0.2, 0.2])
-
-    def test_constant_risk_linear_growth(self):
-        A = 9
-        events = [Event(float(m + 1), m % A, ((m + 1) % A, (m + 2) % A))
-                  for m in range(32)]
-        stream = EventStream(events, A)
-        gs = growth_sequence(stream)
-        assert_allclose(gs.g, (np.arange(32) + 1) / (A - 1))
 
 
 class TestSelectionProbabilities:

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from sendrate import (CovariateSpec, IntervalScheme, RiskSetPolicy, SimConfig,
-                      StreamError, prepare, simulate)
+                      StreamError, esp, likelihood, prepare, simulate)
 from sendrate.esp import sample_fixed_size
 from sendrate.likelihood import selection_probabilities
 
@@ -187,3 +187,29 @@ class TestPolicies:
         stream = simulate(cfg)
         for e in stream:
             assert set(e.receivers) <= sets[e.sender]
+
+
+class TestTriadicRefresh:
+    def test_weights_match_replayed_design(self, monkeypatch):
+        # every receiver draw sees the weights the prepared stream gives
+        # that event: the pairs a record touches through a middle actor
+        # are refreshed when it is created and when it changes bins
+        spec = CovariateSpec(dyadic=[("send", "both"), ("receive", "indicator")],
+                             triadic=[("2-send", "both"), ("sibling", "binned"),
+                                      ("cosibling", "indicator")],
+                             scheme=IntervalScheme([600.0, 3600.0]))
+        beta = np.random.default_rng(12).normal(-0.1, 0.1, size=spec.dim)
+        cfg = SimConfig(actor_count=12, beta_true=beta, spec=spec, seed=3,
+                        baseline=0.01, size_weights={1: 1.0, 2: 0.4, 3: 0.2},
+                        n_events=400)
+        drawn, draw = [], esp.sample_fixed_size
+
+        def recording(w, L, rng):
+            drawn.append(np.array(w))
+            return draw(w, L, rng)
+        monkeypatch.setattr(esp, "sample_fixed_size", recording)
+        design = prepare(simulate(cfg), spec)
+        assert design.spec.has_triadic and len(drawn) == design.n_events == 400
+        _, want = likelihood._risk_weights(design, beta,
+                                           np.arange(design.n_events))
+        assert np.abs(np.array(drawn) - want).max() <= 1e-12
