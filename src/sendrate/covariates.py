@@ -64,8 +64,8 @@ class CovariateSpec:
         self.scheme = scheme or IntervalScheme()
         self.static_terms = []
         for term in static_terms:
-            x, _, y = term.partition("*")
-            if not y:
+            x, _, y = str(term).partition("*")
+            if not y or not isinstance(term, str):
                 raise StreamError(f"static term {term!r} must be 'X*Y'")
             if y == "1":
                 raise StreamError(

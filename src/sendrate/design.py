@@ -47,10 +47,15 @@ class PreparedDesign:
       row_start   (n+1,) CSR offsets into the row arrays
       row_j       (R,)  receiver id per sparse row (sorted within an event)
       row_inrisk  (R,)  eligibility flag
-      dX          (R,p) dynamic design rows
+      dX          (R,p) dynamic design rows (static columns zero)
       recv_start/(n+1,), recv_j: observed receiver ids, CSR
       ev_block    (n,)  block id per event
       blk_event   (B,)  first event of each block (its rows are the block's)
+
+    Every entry of dX is a count, a product of counts or a 0/1 flag, so
+    int16 holds it exactly at a quarter of float64's bytes; the first event
+    with an entry above 32,767 widens the rows once to float64.  Readers
+    accept any numeric dX and upcast a chunk of rows at a time.
     """
 
     def __init__(self, spec, static, stream, policy):
@@ -79,9 +84,9 @@ class PreparedDesign:
         recv_start = np.zeros(n + 1, dtype=np.intp)
         row_j_parts, row_risk_parts, recv_parts = [], [], []
         try:    # an event has at most A rows; only those written are resident
-            dX = np.empty((n * A, p))
+            dX = np.empty((n * A, p), dtype=np.int16)
         except MemoryError:     # more than memory could hold: grow in place
-            dX = np.empty((n, p))
+            dX = np.empty((n, p), dtype=np.int16)
         ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
         last_block = {}     # sender -> (block id, its js, inrisk, first row)
@@ -126,6 +131,9 @@ class PreparedDesign:
             ev_size[m] = ev.size
             ev_risk[m] = risk_size
             row_start[m + 1] = row_start[m] + len(js)
+            # triadic products of counts can outgrow int16 on a long stream
+            if dX.dtype == np.int16 and len(js) and dx.max() > 32767:
+                dX = dX[:row_start[m]].astype(np.float64)
             if row_start[m + 1] > len(dX):
                 dX.resize((2 * row_start[m + 1], p), refcheck=False)
             dX[row_start[m]:row_start[m + 1]] = dx

@@ -72,11 +72,13 @@ def _dense_design(design, events):
 
 def _log_weights(design, beta, events):
     """(events, A) log selection weights x . beta of each event's
-    receivers, -inf outside the risk set."""
+    receivers, -inf outside the risk set.  The events' rows are cast to
+    float64 whole (callers pass a chunk of events), all columns in their
+    memory order, so BLAS sums them as it would a float64 store."""
     rows, local = _event_rows(design, events)
     S = (design.static._x0 @ beta)[design.ev_class[events]]
     flat = local * design.actor_count + design.row_j[rows]
-    S.ravel()[flat] += design.dX[rows] @ beta
+    S.ravel()[flat] += design.dX[rows].astype(np.float64) @ beta
     S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
     return S
 
@@ -288,7 +290,11 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
 def selection_probabilities(design, beta):
     """(n, A) matrix of single-selection probabilities per event, zero for
     receivers outside the risk set."""
-    _, w = _risk_weights(design, np.asarray(beta, dtype=np.float64),
-                         np.arange(design.n_events))
-    w /= w.sum(axis=1)[:, None]
-    return w
+    beta = np.asarray(beta, dtype=np.float64)
+    n, A = design.n_events, design.actor_count
+    probs = np.empty((n, A))
+    step = max(1, _CHUNK_BYTES // (8 * A * design.p))
+    for lo in range(0, n, step):
+        _, w = _risk_weights(design, beta, np.arange(lo, min(lo + step, n)))
+        probs[lo:lo + step] = w / w.sum(axis=1)[:, None]
+    return probs

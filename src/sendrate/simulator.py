@@ -51,6 +51,8 @@ class SimConfig:
         self.beta_true = np.asarray(self.beta_true, dtype=np.float64)
         if self.beta_true.shape != (self.spec.dim,):
             raise StreamError("beta_true length does not match the covariate spec")
+        if not np.isfinite(self.beta_true).all():
+            raise StreamError("beta_true must be finite")
 
     @property
     def l_max(self):
@@ -83,19 +85,33 @@ class SimConfig:
     def from_json(cls, obj, traits=None):
         require_keys(obj, ("actor_count", "beta_true", "covariates"),
                      "simulation config")
-        try:
-            beta = np.asarray(obj["beta_true"], dtype=np.float64)
-            baseline = np.asarray(obj.get("baseline", 1.0), dtype=np.float64)
-            sizes = {int(k): float(v) for k, v in
-                     obj.get("size_weights", {"1": 1.0}).items()}
-        except (TypeError, ValueError) as exc:
-            raise StreamError(f"simulation config: {exc}") from None
-        return cls(actor_count=obj["actor_count"], beta_true=beta,
+
+        def parse(key, default, convert):
+            value = obj.get(key, default)
+            if value is None and key in ("n_events", "horizon"):
+                return None     # either may be null: to_json writes both
+            try:
+                return convert(value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise StreamError(f"simulation config: {key}: {exc}") from None
+        floats = lambda v: np.asarray(v, dtype=np.float64)
+        return cls(actor_count=parse("actor_count", None,
+                                     lambda v: _count(v, least=1)),
+                   beta_true=parse("beta_true", None, floats),
                    spec=CovariateSpec.from_json(obj["covariates"]),
-                   seed=obj.get("seed", 0), baseline=baseline,
-                   size_weights=sizes, n_events=obj.get("n_events"),
-                   horizon=obj.get("horizon"),
-                   traits=traits)
+                   seed=parse("seed", 0, _count),
+                   baseline=parse("baseline", 1.0, floats),
+                   size_weights=parse("size_weights", {"1": 1.0}, lambda v: {
+                       int(k): float(q) for k, q in v.items()}),
+                   n_events=parse("n_events", None, _count),
+                   horizon=parse("horizon", None, float), traits=traits)
+
+
+def _count(value, least=0):
+    """A JSON value that must be an integer of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"expected an integer >= {least}, got {value!r}")
+    return value
 
 
 #: Hard ceiling on the log total intensity; beyond this the configuration

@@ -191,12 +191,23 @@ class TestExitCodes:
     @pytest.mark.parametrize("field, value", [
         ("size_weights", {"x": 1.0}),
         ("baseline", "abc"),
-        ("covariates", dict(SIM_CONFIG["covariates"], intervals_seconds=["a"]))])
+        ("covariates", dict(SIM_CONFIG["covariates"], intervals_seconds=["a"])),
+        ("covariates", dict(SIM_CONFIG["covariates"], static=[5])),
+        ("size_weights", [1.0]),
+        ("actor_count", "x"),
+        ("actor_count", 10.5),
+        ("n_events", "x"),
+        ("seed", "x"),
+        ("horizon", "x"),
+        ("beta_true", [float("nan"), 0.4])])
     def test_sim_config_with_bad_value_is_1(self, workdir, capsys, field, value):
         (workdir / "bad_sim.json").write_text(
             json.dumps(dict(SIM_CONFIG, **{field: value})))
         assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        # the covariate spec's errors name its own fields
+        assert field in err or field == "covariates"
 
     @pytest.mark.parametrize("command, value", [("diagnose", "nan"),
                                                 ("bootstrap", "inf"),

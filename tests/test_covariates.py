@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
-                      IntervalScheme, StaticDesign, StreamError, prepare,
-                      second_order_static_terms)
+                      IntervalScheme, StaticDesign, StreamError, dense_oracle,
+                      evaluate, prepare, second_order_static_terms)
 from sendrate.covariates import DEFAULT_BOUNDARIES, DynamicState
 
 from conftest import (brute_covariates, covariate_vector, random_stream,
@@ -298,19 +298,59 @@ class TestPreparedRows:
                                gap=10 * MIN)
         want = prepare(stream, spec)
         assert want.dX.shape == (want.row_start[-1], spec.dim)
+        assert want.dX.dtype == np.int16
         assert want.row_start[-1] > len(stream)
-        empty = np.empty
+        assert_same_design(prepare_unreserved(stream, spec, monkeypatch), want)
 
-        def refuse_reservation(shape, *args, **kwargs):
-            if shape == (len(stream) * actors, spec.dim):
-                raise MemoryError("reservation refused")
-            return empty(shape, *args, **kwargs)
-        monkeypatch.setattr(np, "empty", refuse_reservation)
-        got = prepare(stream, spec)
-        monkeypatch.undo()
-        for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
-                     "ev_block", "blk_event"):
-            assert np.array_equal(getattr(got, name), getattr(want, name))
+    def test_counts_past_int16_widen_the_rows(self, monkeypatch):
+        # 200 messages 0->1, then 200 messages 1->2, all in bin 1 at the
+        # last event: 0 reaches 2 over 200 x 200 = 40,000 two-paths, more
+        # than int16 holds
+        spec = CovariateSpec(dyadic=[("send", "both")],
+                             triadic=[("2-send", "binned")],
+                             scheme=IntervalScheme([HOUR]))
+        events = [Event(float(t), 0, (1,)) for t in range(1, 201)]
+        events += [Event(float(t), 1, (2,)) for t in range(201, 401)]
+        events.append(Event(1000.0, 0, (3,)))
+        stream = EventStream(events, 4)
+        design = prepare(stream, spec)
+        assert design.dX.dtype == np.float64
+        m = design.n_events - 1
+        static = StaticDesign(spec, None, 4)
+        for j in (1, 2, 3):
+            want = brute_covariates(stream, spec, static, 1000.0, 0, j)
+            assert np.array_equal(design.dense_x(m)[j], want)
+        assert design.dense_x(m)[2].max() == 40000.0
+        beta = np.full(spec.dim, 0.1)
+        beta[-4:] = 1e-5
+        fast = evaluate(design, beta, "approx_multicast")
+        slow = dense_oracle(design, beta, "approx_multicast")
+        assert_allclose(fast.logpl, slow.logpl, rtol=1e-10)
+        assert_allclose(fast.score, slow.score, rtol=1e-10)
+        assert_allclose(fast.info, slow.info, rtol=1e-10)
+        assert_same_design(prepare_unreserved(stream, spec, monkeypatch),
+                           design)
+
+
+def prepare_unreserved(stream, spec, monkeypatch):
+    """``prepare`` where memory refuses the reservation of A rows per
+    event, so the rows grow in place."""
+    empty = np.empty
+
+    def refuse_reservation(shape, *args, **kwargs):
+        if shape == (len(stream) * stream.actor_count, spec.dim):
+            raise MemoryError("reservation refused")
+        return empty(shape, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "empty", refuse_reservation)
+        return prepare(stream, spec)
+
+
+def assert_same_design(got, want):
+    assert got.dX.dtype == want.dX.dtype
+    for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
+                 "ev_block", "blk_event"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 class TestActiveReceivers:

@@ -250,6 +250,25 @@ class TestBlockEvaluator:
             tracemalloc.stop()
         assert peak < design.dX.nbytes / 2
 
+    def test_whole_design_reads_bounded_by_chunk(self, monkeypatch):
+        # reads of every event's rows upcast them a chunk at a time: the
+        # scratch besides a returned (n, A) array stays under half the
+        # size of the rows in float64
+        design, beta = accuracy_design(1)
+        n, A = design.n_events, design.actor_count
+        R, p = design.dX.shape
+        assert R * p > 10 * n * A
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES", 16 * 8 * A * p)
+        for read in (lambda: selection_probabilities(design, beta),
+                     lambda: evaluate(design, beta, order=0)):
+            tracemalloc.start()
+            try:
+                read()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - 8 * n * A < 4 * R * p
+
 
 def exact_chunk_bytes(design, events):
     """``_CHUNK_BYTES`` at which the exact kernel takes the given number

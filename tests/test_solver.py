@@ -143,7 +143,7 @@ class TestInvariance:
     @staticmethod
     def transformed(design, col, a, b):
         out = design.subset(np.arange(design.p))
-        out.dX = design.dX.copy()
+        out.dX = design.dX.astype(np.float64)
         out.dX[:, col] *= a
         out.xsum = design.xsum.copy()
         out.xsum[:, col] = a * design.xsum[:, col] + b * design.ev_size
