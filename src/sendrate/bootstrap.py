@@ -2,9 +2,12 @@
 
 A replicate keeps the observed times, senders, set sizes, and the entire
 covariate process of the original stream; only the receiver sets are
-redrawn, proportional to the fitted weights.  Replicates are refit under
-the duplication likelihood, warm-started at the original estimate, and the
-mean replicate residual estimates the bias.
+redrawn, from the fixed-size law at the fitted weights: a size-L set's
+probability is proportional to the product of its members' weights (Chen,
+Dempster & Liu, 1994), the law ``simulate`` draws from and the exact
+likelihood models.  Replicates are refit under the duplication likelihood,
+warm-started at the original estimate, and the mean replicate residual
+estimates the bias.
 
 A replicate costs about one score plus its Newton steps: draws and row sums
 are vectorised over events, and the duplication information at the original
@@ -22,7 +25,6 @@ import numpy as np
 from . import esp, likelihood, solver
 from .events import StreamError
 
-SAMPLERS = ("sequential_wor", "conditional_poisson")
 _REFIT_MAX_ITERS = 50   # Newton steps a replicate refit may take
 _SKIP_TOLERANCE = 0.05  # share of skipped replicates that flags a report
 
@@ -35,27 +37,20 @@ def substream(seed, *key):
 
 @dataclass
 class BootstrapConfig:
-    """Replicate count, seed and receiver-set law of a bootstrap run.
+    """Replicate count and seed of a bootstrap run.
 
-    ``sampler`` picks the law a replicate's receiver sets are drawn from.
-    The default ``sequential_wor`` is successive sampling: each next
-    receiver is drawn in proportion to its weight among those not yet
-    drawn.  ``conditional_poisson`` is the fixed-size law, under which a
-    set's probability is proportional to the product of its weights; it
-    is the law ``simulate`` draws from and the exact likelihood models.
-    A refit may take 50 Newton steps, and a report is flagged when more
-    than 5% of its replicates are skipped.
+    Replicate r draws every event's receiver set, at its recorded size,
+    from the fixed-size law at the fitted weights, with the generator
+    ``substream(seed, r)``.  A refit may take 50 Newton steps, and a
+    report is flagged when more than 5% of its replicates are skipped.
     """
 
     replicates: int = 300
     seed: int = 0
-    sampler: str = "sequential_wor"
 
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"unknown sampler {self.sampler!r}")
 
 
 @dataclass
@@ -97,18 +92,6 @@ class BootstrapReport:
                 fh.write(f"{name},{self.residual_mean[k]!r},{self.residual_sd[k]!r}\n")
 
 
-def _draw(design, probs, rng, sampler):
-    """Replicate receiver ids, laid out as ``design.recv_j``: each event's
-    set redrawn at its recorded size from ``probs`` under ``sampler``."""
-    if sampler == "sequential_wor":
-        return esp.sample_exponential_keys(probs, design.ev_size, rng)
-    if sampler == "conditional_poisson":
-        # a walk consumes as many uniforms as the weights make it: per event
-        return np.array([j for w, L in zip(probs, design.ev_size)
-                         for j in esp.sample_fixed_size(w, int(L), rng)],
-                        dtype=np.intp)
-
-
 def _replicate_design(design, recv_j):
     """Shallow design copy with replicate receivers (sizes as recorded)."""
     out = object.__new__(type(design))
@@ -136,8 +119,8 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
     rep = likelihood.evaluate(design, beta, "approx_multicast", order=2)
     kept, skip_reasons = [], []
     for r in range(config.replicates):
-        rep_design = _replicate_design(design, _draw(
-            design, probs, substream(config.seed, r), config.sampler))
+        rep_design = _replicate_design(design, esp.sample_fixed_size_rows(
+            probs, design.ev_size, substream(config.seed, r)))
         delta = likelihood._xsum_total(rep_design) - likelihood._xsum_total(design)
         start = replace(rep, logpl=rep.logpl + float(delta @ beta),
                         score=rep.score + delta)
@@ -169,9 +152,3 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         term_names=list(design.term_names),
         flagged=len(skip_reasons) > _SKIP_TOLERANCE * config.replicates,
     )
-
-
-def substream_seed(seed, r):
-    """Stable derived seed for replicate r."""
-    ss = np.random.SeedSequence(entropy=(int(seed), int(r)))
-    return int(ss.generate_state(1, np.uint64)[0])

@@ -135,8 +135,7 @@ def cmd_bootstrap(args):
     stream, _, spec, traits = _load_inputs(args)
     design = prepare(stream, spec, traits=traits)
     fit_result = solver.FitResult.load(args.fit) if args.fit else None
-    cfg = bootstrap.BootstrapConfig(replicates=args.replicates,
-                                    seed=args.seed, sampler=args.sampler)
+    cfg = bootstrap.BootstrapConfig(replicates=args.replicates, seed=args.seed)
     report = bootstrap.bootstrap_bias(design, fit_result, cfg)
     report.save(args.out)
     summary = args.out + ".residuals.csv"
@@ -225,14 +224,6 @@ def build_parser():
     p.add_argument("--fit", help="existing fit JSON (refits when absent)")
     p.add_argument("--replicates", type=positive_int, default=300)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sampler", choices=bootstrap.SAMPLERS,
-                   default="sequential_wor",
-                   help="receiver-set law of the replicates: sequential_wor "
-                        "is successive sampling (each next receiver drawn in "
-                        "proportion to its weight among those left); "
-                        "conditional_poisson is the fixed-size "
-                        "product-of-weights law that simulate and the exact "
-                        "likelihood use")
     p.add_argument("--out", default="bootstrap.json")
     p.set_defaults(func=cmd_bootstrap)
 

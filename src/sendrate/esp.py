@@ -5,6 +5,12 @@ product of member weights; it normalizes the multicast selection law, whose
 first two log-derivatives in the coefficient vector are subset means and
 covariances of covariate sums.  ``esp_table`` also serves the exact
 likelihood's prefix and suffix tables, batched over leading axes.
+
+A draw from that law walks the items once, keeping item r with probability
+w_r e_{q-1}(w[r+1:]) / e_q(w[r:]) while q items are still to choose, read
+off a suffix table.  ``sample_fixed_size`` walks one weight vector (the
+simulator); ``sample_fixed_size_rows`` walks a batch of rows together, one
+uniform per row and item (the bootstrap).
 """
 
 from __future__ import annotations
@@ -57,13 +63,8 @@ def esp_grad_hess(w, X, L):
 
 
 def sample_fixed_size(w, L, rng):
-    """Draw a size-L subset with probability proportional to the product of
-    its weights (exact fixed-size law).
-
-    Walks the items once, including each with probability
-    w_j e_{q-1}(rest) / e_q(w_j and rest) from a suffix ESP table, where q
-    is the number of items still to choose.
-    """
+    """Draw a size-L subset of the items of w from the fixed-size law, by
+    the walk above, taking one uniform per item until the set is full."""
     w = np.asarray(w, dtype=np.float64)
     if (w < 0).any():
         raise ValueError("negative weight")
@@ -92,16 +93,41 @@ def sample_fixed_size(w, L, rng):
     return chosen
 
 
-def sample_exponential_keys(w, L, rng):
-    """Successive-sampling draws along the last axis of w: the L (one per row)
-    smallest keys Exp(1)/w_j.  Returns each row's picks in order, rows
-    concatenated (a list for one row); row-by-row calls draw the same."""
+def sample_fixed_size_rows(w, L, rng):
+    """One draw per row m of w (n, A) from the size-L[m] fixed-size law,
+    the picks in item order, rows concatenated.
+
+    Every row's suffix table comes from one ``esp_table`` call at degree
+    L.max(), and each item takes one uniform per row until every row is
+    full.  Rows forced by their support are full from the start, so on one
+    row this consumes the uniforms and picks the subset ``sample_fixed_size``
+    does.
+    """
     w = np.asarray(w, dtype=np.float64)
-    L = np.asarray(L)
-    if (L > (w > 0).sum(axis=-1)).any():
+    L = np.asarray(L, dtype=np.intp)
+    if (w < 0).any():
+        raise ValueError("negative weight")
+    support = (w > 0).sum(axis=1)
+    if (L > support).any():
         raise ValueError("cannot draw more items than have positive weight")
-    with np.errstate(divide="ignore"):
-        keys = rng.standard_exponential(w.shape) / w
-    rank = np.argsort(np.argsort(keys, axis=-1, kind="stable"), axis=-1)
-    picked = np.nonzero(rank < L[..., None])[-1]
-    return picked.tolist() if w.ndim == 1 else picked
+    forced = L == support
+    chosen = (w > 0) & forced[:, None]
+    q = np.where(forced, 0, L)
+    rows = np.arange(len(w))
+    # rows that are full or all zero read 0/0 below; they take no pick
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ws = w / w.max(axis=1, keepdims=True)
+        suffix = esp_table(ws[:, ::-1], int(L.max(initial=0)))[:, ::-1]
+        for r in range(w.shape[1]):
+            live = q > 0
+            if not live.any():
+                break
+            u = rng.random(len(w))
+            ql = np.maximum(q, 1)
+            p_in = np.where(suffix[rows, r + 1, ql] == 0.0, 1.0,
+                            ws[:, r] * suffix[rows, r + 1, ql - 1]
+                            / suffix[rows, r, ql])
+            pick = live & (u < p_in)
+            chosen[:, r] |= pick
+            q -= pick
+    return np.nonzero(chosen)[1]

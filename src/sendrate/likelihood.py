@@ -70,20 +70,21 @@ def _dense_design(design, events):
     return X
 
 
-def _log_weights(design, beta, events):
+def _log_weights(design, beta, x0b, events):
     """(events, A) log selection weights x . beta of each event's
-    receivers, -inf outside the risk set.  The events' rows are cast to
-    float64 whole (callers pass a chunk of events), all columns in their
-    memory order, so BLAS sums them as it would a float64 store."""
+    receivers, -inf outside the risk set, from x0b = ``static._x0 @ beta``
+    (one product per evaluation).  The events' rows are cast to float64
+    whole (callers pass a chunk of events), all columns in their memory
+    order, so BLAS sums them as it would a float64 store."""
     rows, local = _event_rows(design, events)
-    S = (design.static._x0 @ beta)[design.ev_class[events]]
+    S = x0b[design.ev_class[events]]
     flat = local * design.actor_count + design.row_j[rows]
     S.ravel()[flat] += design.dX[rows].astype(np.float64) @ beta
     S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
     return S
 
 
-def _risk_weights(design, beta, events):
+def _risk_weights(design, beta, x0b, events):
     """Per-event log shift c and max-shifted weights exp(x . beta - c).
 
     Rows of the (events, A) weight matrix are the selection weights of each
@@ -91,7 +92,7 @@ def _risk_weights(design, beta, events):
     at the heaviest receiver.  Replay gives every event an in-risk
     receiver, so c is finite wherever beta is.
     """
-    S = _log_weights(design, beta, events)
+    S = _log_weights(design, beta, x0b, events)
     c = S.max(axis=1)
     return c, np.exp(S - c[:, None])
 
@@ -133,10 +134,11 @@ def _eval_blocks(design, beta, order, keep_terms):
     logW = np.empty(len(first))
     E = np.empty((len(first), p))
     M = np.zeros((p, p))
+    x0b = design.static._x0 @ beta
     step = max(1, _CHUNK_BYTES // max(1, 8 * design.actor_count * p))
     for lo in range(0, len(first), step):
         blk = slice(lo, lo + step)
-        c, pi = _risk_weights(design, beta, first[blk])
+        c, pi = _risk_weights(design, beta, x0b, first[blk])
         W = pi.sum(axis=1)
         logW[blk] = c + np.log(W)
         if order < 1:
@@ -205,11 +207,12 @@ def _eval_exact(design, beta, order, keep_terms):
     logW = np.empty(n)
     score = np.zeros(p)
     M = np.zeros((p, p))
+    x0b = design.static._x0 @ beta
     step = max(1, _CHUNK_BYTES // (8 * A * max(p, A * Lmax)))
     for lo in range(0, n, step):
         ev = np.arange(lo, min(lo + step, n))
         L = sizes[ev]
-        S = _log_weights(design, beta, ev)
+        S = _log_weights(design, beta, x0b, ev)
         # each event's L.max() largest log-weights, summed largest first
         top = np.sort(np.partition(S, A - L.max(), axis=1)[:, A - L.max():])
         top = np.cumsum(top[:, ::-1], axis=1)
@@ -293,8 +296,9 @@ def selection_probabilities(design, beta):
     beta = np.asarray(beta, dtype=np.float64)
     n, A = design.n_events, design.actor_count
     probs = np.empty((n, A))
+    x0b = design.static._x0 @ beta
     step = max(1, _CHUNK_BYTES // (8 * A * design.p))
     for lo in range(0, n, step):
-        _, w = _risk_weights(design, beta, np.arange(lo, min(lo + step, n)))
+        _, w = _risk_weights(design, beta, x0b, np.arange(lo, min(lo + step, n)))
         probs[lo:lo + step] = w / w.sum(axis=1)[:, None]
     return probs

@@ -4,9 +4,8 @@ from numpy.testing import assert_allclose
 
 from sendrate import (BootstrapConfig, CovariateSpec, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, SimConfig, StreamError,
-                      bootstrap_bias, fit, prepare, simulate, solver)
-from sendrate.bootstrap import (_REFIT_MAX_ITERS, SAMPLERS, _draw,
-                                _replicate_design, substream)
+                      bootstrap_bias, esp, fit, prepare, simulate, solver)
+from sendrate.bootstrap import _REFIT_MAX_ITERS, _replicate_design, substream
 from sendrate.likelihood import selection_probabilities
 from sendrate.solver import SolverConfig
 
@@ -20,10 +19,11 @@ def send_recv_spec():
                                  ("receive", "indicator")])
 
 
-def draw_replicate(design, beta, rng, sampler="sequential_wor"):
+def draw_replicate(design, beta, rng):
     """One replicate's receiver sets, one index array per event."""
     probs = selection_probabilities(design, beta)
-    return np.split(_draw(design, probs, rng, sampler), design.recv_start[1:-1])
+    return np.split(esp.sample_fixed_size_rows(probs, design.ev_size, rng),
+                    design.recv_start[1:-1])
 
 
 def simulated_design(seed=5, actors=8, n=400, sizes=None):
@@ -76,13 +76,11 @@ class TestDrawReplicate:
 
     def test_sizes_and_sender_exclusion(self, rng):
         design = simulated_design(sizes={1: 1.0, 2: 0.1, 3: 0.02})
-        gen = substream(3, 1)
-        for sampler in ("sequential_wor", "conditional_poisson"):
-            recv = draw_replicate(design, rng.normal(0, 0.3, 2), gen, sampler)
-            for m, r in enumerate(recv):
-                assert len(r) == design.ev_size[m]
-                assert design.ev_sender[m] not in r
-                assert len(set(r.tolist())) == len(r)
+        recv = draw_replicate(design, rng.normal(0, 0.3, 2), substream(3, 1))
+        for m, r in enumerate(recv):
+            assert len(r) == design.ev_size[m]
+            assert design.ev_sender[m] not in r
+            assert len(set(r.tolist())) == len(r)
 
 
 def xsum_for(design, m, receivers):
@@ -129,12 +127,11 @@ class TestReplicateDesign:
         assert np.array_equal(design.xsum, [
             xsum_for(design, m, js) for m, js in enumerate(observed)])
         beta = rng.normal(0, 0.3, size=design.p)
-        for r, sampler in enumerate(SAMPLERS):
-            recv = draw_replicate(design, beta, substream(2, r), sampler)
-            rep = _replicate_design(design, np.concatenate(recv))
-            want = [xsum_for(design, m, js) for m, js in enumerate(recv)]
-            assert np.array_equal(rep.xsum, want)
-            assert np.array_equal(rep.recv_j, np.concatenate(recv))
+        recv = draw_replicate(design, beta, substream(2, 0))
+        rep = _replicate_design(design, np.concatenate(recv))
+        want = [xsum_for(design, m, js) for m, js in enumerate(recv)]
+        assert np.array_equal(rep.xsum, want)
+        assert np.array_equal(rep.recv_j, np.concatenate(recv))
 
 
 class TestBootstrapBias:
@@ -189,13 +186,21 @@ class TestBootstrapBias:
         assert report.skipped == 0
         assert np.abs((report.replicate_estimates - want) / res.se).max() <= 1e-10
 
-    def test_unconverged_replicates_record_stop_reason(self):
+    def test_unconverged_replicates_record_stop_reason(self, monkeypatch):
         # one Newton step is too few for a replicate refit, except where the
-        # replicate's summed design rows equal the original's
+        # replicate's receiver sets are the original's: every even replicate
+        # redraws them unchanged, so its refit starts converged
         design = simulated_design(n=300, sizes={1: 1.0, 2: 0.2})
         res = fit(design, "approx_multicast")
+        draw, calls = esp.sample_fixed_size_rows, []
+
+        def redraw_odd_replicates(*args):
+            calls.append(args)
+            return draw(*args) if len(calls) % 2 == 0 else design.recv_j.copy()
+        monkeypatch.setattr(esp, "sample_fixed_size_rows", redraw_odd_replicates)
         report = bootstrap_bias(design, res, BootstrapConfig(replicates=8, seed=1),
                                 solver_config=SolverConfig(max_iters=1))
+        assert not {e["replicate"] for e in report.skip_reasons} & {0, 2, 4, 6}
         assert 0 < report.skipped < 8
         assert len(report.replicate_estimates) == 8 - report.skipped
         assert [e["reason"] for e in report.skip_reasons] == \

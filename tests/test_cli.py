@@ -139,6 +139,9 @@ class TestTraits:
 class TestExitCodes:
     def test_usage_error_is_64(self, workdir):
         assert run("fit", "--spec", "spec.json") == 64
+        # replicates draw from the one fixed-size law: no sampler option
+        assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
+                   "--sampler", "conditional_poisson") == 64
 
     def test_missing_file_is_1(self, workdir):
         assert run("fit", "--events", "nope.csv", "--spec", "spec.json") == 1

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from sendrate.esp import (esp_grad_hess, esp_table, sample_exponential_keys,
-                          sample_fixed_size)
+from sendrate.esp import (esp_grad_hess, esp_table, sample_fixed_size,
+                          sample_fixed_size_rows)
 
 
 def brute_esp(w, L):
@@ -165,69 +165,55 @@ class TestSamplers:
         for s, pr in law.items():
             assert abs(counts.get(s, 0) / 20000 - pr) < 0.02
 
-    def test_exponential_keys_sizes_and_support(self, rng):
-        w = np.array([1.0, 0.0, 2.0, 5.0, 0.5])
-        for _ in range(200):
-            s = sample_exponential_keys(w, 3, rng)
-            assert len(s) == 3 and 1 not in s
-
-    def test_exponential_keys_batch_equals_row_loop(self, rng):
-        # one draw per row of a weight array, with zero weights and sets
-        # forced by their support, against one call per row from the same
-        # generator state
-        def row_draw(w, L, gen):
-            with np.errstate(divide="ignore"):
-                keys = gen.standard_exponential(len(w)) / w
-            return sorted(np.argsort(keys, kind="stable")[:L].tolist())
-
-        for trial in range(40):
-            n, A = int(rng.integers(1, 30)), int(rng.integers(1, 12))
-            w = rng.uniform(0.1, 3.0, size=(n, A))
-            w[rng.random((n, A)) < 0.3] = 0.0
-            w[np.arange(n), rng.integers(0, A, size=n)] = 1.0
-            support = (w > 0).sum(axis=1)
-            L = rng.integers(1, support + 1)
-            L[::3] = support[::3]
+    def test_rows_walk_equals_scalar_walk(self, rng):
+        # one row at a time, the batched walk takes the same uniforms from
+        # the generator and picks the same subset as the scalar walk,
+        # also for zero weights and for sets forced by their support
+        for trial in range(200):
+            A = int(rng.integers(1, 30))
+            w = np.exp(rng.normal(0.0, 1.5, size=A))
+            w[rng.random(A) < 0.2] = 0.0
+            w[rng.integers(A)] = 1.0
+            support = int((w > 0).sum())
+            L = support if trial % 5 == 0 else int(rng.integers(0, support + 1))
             seed = int(rng.integers(2 ** 32))
             make = (np.random.default_rng if trial % 2 else
                     lambda s: np.random.Generator(np.random.Philox(s)))
-            got = sample_exponential_keys(w, L, make(seed))
-            gen = make(seed)
-            want = [j for row, size in zip(w, L) for j in row_draw(row, size, gen)]
-            assert np.array_equal(got, want)
-            forced = L == support
-            starts = np.concatenate([[0], np.cumsum(L)])
-            for m in np.flatnonzero(forced):
-                assert got[starts[m]:starts[m + 1]].tolist() == \
-                    np.flatnonzero(w[m]).tolist()
+            scalar, rows = make(seed), make(seed)
+            assert sample_fixed_size_rows(w[None], [L], rows).tolist() == \
+                sample_fixed_size(w, L, scalar)
+            assert rows.random() == scalar.random()
 
-    def test_exponential_keys_single_draw_law(self, rng):
-        # with L=1 both samplers reduce to a categorical draw
-        w = np.array([1.0, 3.0])
-        hits = sum(sample_exponential_keys(w, 1, rng) == [1]
-                   for _ in range(20000))
-        assert abs(hits / 20000 - 0.75) < 0.02
-
-    def test_exponential_keys_pair_law_is_successive_sampling(self, rng):
-        # the bootstrap's default sampler: each next item is drawn in
-        # proportion to its weight among those left, which for L = 2 is
-        # not the fixed-size product-of-weights law
+    def test_rows_law_with_mixed_sizes(self, rng):
+        # every row of a batch with sizes 1, 2 and 3 follows its own
+        # fixed-size law: five binomial standard deviations per subset
         w = np.array([4.0, 2.0, 1.0, 1.0])
-        total = w.sum()
-        successive = {(a, b): w[a] / total * w[b] / (total - w[a])
-                      + w[b] / total * w[a] / (total - w[b])
-                      for a, b in itertools.combinations(range(4), 2)}
-        product = subset_law(w, 2)
-        n = 40000
-        counts = {}
+        sizes = np.tile([2, 1, 2, 3], 50)
+        n = 200
+        counts = {L: {} for L in (1, 2, 3)}
         for _ in range(n):
-            s = tuple(sample_exponential_keys(w, 2, rng))
-            counts[s] = counts.get(s, 0) + 1
+            picks = sample_fixed_size_rows(np.tile(w, (len(sizes), 1)), sizes, rng)
+            for L, s in zip(sizes, np.split(picks, np.cumsum(sizes)[:-1])):
+                counts[L][tuple(s)] = counts[L].get(tuple(s), 0) + 1
+        for L in (1, 2, 3):
+            draws = n * int((sizes == L).sum())
+            for s, pr in subset_law(w, L).items():
+                assert abs(counts[L].get(s, 0) / draws - pr) \
+                    <= 5 * math.sqrt(pr * (1 - pr) / draws)
 
-        def within(law):
-            # five binomial standard deviations per pair
-            return [abs(counts.get(s, 0) / n - pr)
-                    <= 5 * math.sqrt(pr * (1 - pr) / n)
-                    for s, pr in law.items()]
-        assert all(within(successive))
-        assert not all(within(product))
+    def test_rows_forced_and_zero_weights(self, rng):
+        w = np.array([[1.0, 0.0, 2.0, 0.0, 3.0],
+                      [0.0, 5.0, 0.0, 1.0, 0.0],
+                      [1.0, 0.0, 2.0, 0.0, 3.0]])
+        for _ in range(200):
+            picks = sample_fixed_size_rows(w, [2, 2, 3], rng)
+            first, forced, full = np.split(picks, [2, 4])
+            assert len(set(first.tolist())) == 2
+            assert set(first.tolist()) <= {0, 2, 4}
+            assert forced.tolist() == [1, 3]
+            assert full.tolist() == [0, 2, 4]
+
+    def test_rows_oversized_request_fails(self, rng):
+        with pytest.raises(ValueError):
+            sample_fixed_size_rows([[1.0, 2.0, 3.0], [1.0, 0.0, 0.0]],
+                                   [1, 2], rng)

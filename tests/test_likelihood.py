@@ -318,7 +318,8 @@ class TestExactKernel:
         assert np.abs(rep.terms[full]).max() <= 1e-12
         slow = dense_oracle(design, beta, "exact_multicast")
         assert rel_diff(rep.info, slow.info) <= 1e-10
-        S = likelihood._log_weights(design, beta, full)
+        S = likelihood._log_weights(design, beta, design.static._x0 @ beta,
+                                    full)
         L = int(design.ev_size[full[0]])
         sel = design.ev_size[full] == L
         w = np.exp(S[sel] - S[sel].max(axis=1)[:, None])

@@ -211,5 +211,6 @@ class TestTriadicRefresh:
         design = prepare(simulate(cfg), spec)
         assert design.spec.has_triadic and len(drawn) == design.n_events == 400
         _, want = likelihood._risk_weights(design, beta,
+                                           design.static._x0 @ beta,
                                            np.arange(design.n_events))
         assert np.abs(np.array(drawn) - want).max() <= 1e-12
