@@ -46,6 +46,13 @@ def positive_int(text):
     return value
 
 
+def nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is not a non-negative integer")
+    return value
+
+
 def _digest(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -223,7 +230,7 @@ def build_parser():
     _add_common_inputs(p)
     p.add_argument("--fit", help="existing fit JSON (refits when absent)")
     p.add_argument("--replicates", type=positive_int, default=300)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=nonnegative_int, default=0)
     p.add_argument("--out", default="bootstrap.json")
     p.set_defaults(func=cmd_bootstrap)
 
@@ -232,7 +239,7 @@ def build_parser():
     p.add_argument("--out", default="events.csv")
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--truth", help="write generating-parameter JSON here")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=nonnegative_int)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("diagnose", help="residuals for an existing fit")

@@ -205,7 +205,8 @@ class DynamicState:
     a->a enters no count: (i, i) has no dynamic design, and no triadic
     middle actor h is i or j.  The sparse support, a superset of the
     receivers whose dynamic row can be non-zero, is kept as a boolean
-    matrix.
+    matrix; ``support(i)`` is sender i's row of it, and replay calls
+    ``rows`` on its members.
     """
 
     def __init__(self, spec, actor_count):
@@ -343,11 +344,10 @@ class DynamicState:
         out[:, self.spec.static_dim:] = block[:, self._cols]
         return out
 
-    def delta_rows(self, t, i):
-        """(sorted ids of the sparse support of sender i, their dynamic
-        rows at time t)."""
-        js = np.flatnonzero(self._active[i])
-        return js.tolist(), self.rows(t, i, js)
+    def support(self, i):
+        """Sparse support of sender i: a boolean row over the receivers,
+        true wherever the dynamic row can be non-zero (never at i)."""
+        return self._active[i]
 
 
 #: Per triadic effect, the D slot half of its first leg (0: i->h, 1: h->i)

@@ -4,10 +4,12 @@ flat per-event arrays the likelihood can evaluate repeatedly.
 The replay records, for every event, the sender's class, the observed
 receiver set, and the sparse dynamic rows (receiver id, dynamic design row,
 risk-set eligibility) that add to the sender class's static design over the
-full actor set.  Rows exist for every receiver in the sparse support plus
-every actor the risk policy excludes at that instant (at minimum the sender
-itself): an excluded actor's row carries the risk-set mask, since the
-static design covers every actor.
+full actor set.  One path builds them from two boolean vectors over the
+actors, the policy's eligibility ``mask`` at that instant and the sender's
+sparse ``support``: the rows are support | ~mask (under the default policy,
+the support plus the sender).  A row outside the mask carries its
+eligibility flag, since the static design covers every actor; a row
+outside the support has a zero dynamic part.
 
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
@@ -16,9 +18,9 @@ likelihood evaluates each block's normalizer and moments once.
 The covariate state behind the replay is ``DynamicState``: a dense tensor
 of per-pair bin counts and visibility flags, 2*A^2*(K+1) doubles, which K
 pointers into the time-ordered records keep current at each event time.
-An event's rows are one ``DynamicState.rows`` call: a gather of the
-tensor at the active receivers and, for triadic terms, one matrix product
-over the sender's middle actors per first-leg direction.
+An event's dynamic rows are one ``DynamicState.rows`` call on its support
+members: a gather of the tensor at those receivers and, for triadic terms,
+one matrix product over the sender's middle actors per first-leg direction.
 """
 
 from __future__ import annotations
@@ -42,11 +44,11 @@ class PreparedDesign:
       ev_class    (n,)  sender class per event
       ev_sender   (n,)
       ev_size     (n,)  receiver-set size
-      ev_risk     (n,)  risk-set cardinality
       xsum        (n,p) sum of design rows over the observed receivers
       row_start   (n+1,) CSR offsets into the row arrays
-      row_j       (R,)  receiver id per sparse row (sorted within an event)
-      row_inrisk  (R,)  eligibility flag
+      row_j       (R,)  receiver id per sparse row (sorted within an event):
+                        the sender's support and every ineligible actor
+      row_inrisk  (R,)  eligibility flag; risk_mask(m) rebuilds the mask
       dX          (R,p) dynamic design rows (static columns zero)
       recv_start/(n+1,), recv_j: observed receiver ids, CSR
       ev_block    (n,)  block id per event
@@ -70,49 +72,46 @@ class PreparedDesign:
     # -- construction ------------------------------------------------------
 
     def _replay(self, stream):
-        spec, static, policy = self.spec, self.static, self.policy
-        A = self.actor_count
-        n = len(stream)
-        p = spec.dim
-        all_but_sender = policy.mode == "all-but-sender"
+        spec, policy = self.spec, self.policy
+        A, n, p = self.actor_count, len(stream), spec.dim
+        self.n_events = n
+        self.ev_sender = np.array([ev.sender for ev in stream], dtype=np.intp)
+        self.ev_class = self.static.class_of[self.ev_sender]
+        self.ev_size = np.array([ev.size for ev in stream], dtype=np.intp)
+        self.recv_start = recv_start = np.r_[0, np.cumsum(self.ev_size)]
+        self.recv_j = recv_j = np.fromiter(
+            (j for ev in stream for j in ev.receivers), dtype=np.intp,
+            count=recv_start[n])
 
-        ev_class = np.empty(n, dtype=np.intp)
-        ev_sender = np.empty(n, dtype=np.intp)
-        ev_size = np.empty(n, dtype=np.intp)
-        ev_risk = np.empty(n, dtype=np.intp)
-        row_start = np.zeros(n + 1, dtype=np.intp)
-        recv_start = np.zeros(n + 1, dtype=np.intp)
-        row_j_parts, row_risk_parts, recv_parts = [], [], []
+        self.row_start = row_start = np.zeros(n + 1, dtype=np.intp)
+        row_j_parts, row_risk_parts = [], []
         try:    # an event has at most A rows; only those written are resident
             dX = np.empty((n * A, p), dtype=np.int16)
         except MemoryError:     # more than memory could hold: grow in place
             dX = np.empty((n, p), dtype=np.int16)
-        ev_block = np.empty(n, dtype=np.intp)
+        self.ev_block = ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
         last_block = {}     # sender -> (block id, its js, inrisk, first row)
 
         state = DynamicState(spec, A)
         for m, ev in enumerate(stream):
             i, t = ev.sender, ev.time
-            if all_but_sender:
-                excluded = {i}
-                risk_size = A - 1
-            else:
-                mask = policy.mask(t, i, A)
-                excluded = set(np.flatnonzero(~mask).tolist())
-                risk_size = A - len(excluded)
-            js, dx = state.delta_rows(t, i)
-            extra = excluded.difference(js)
-            if extra:
-                merged = sorted(set(js) | extra)
-                dx_full = np.zeros((len(merged), p))
-                pos = {j: r for r, j in enumerate(merged)}
-                for r, j in enumerate(js):
-                    dx_full[pos[j]] = dx[r]
-                js, dx = merged, dx_full
-            inrisk = np.array([j not in excluded for j in js], dtype=bool)
+            mask = policy.mask(t, i, A)
+            recv = recv_j[recv_start[m]:recv_start[m + 1]]
+            if not mask[recv].all():
+                raise ReceiverOutsideRiskSet(
+                    f"event {m}: receiver {recv[~mask[recv]][0]} outside "
+                    f"risk set of sender {i}")
+            support = state.support(i)
+            js = np.flatnonzero(support | ~mask)
+            inrisk = mask[js]
+            # rows only on the support: a masked-out actor outside it keeps
+            # a zero row, where rows(t, i, [i]) would count paths i->h->i
+            in_support = support[js]
+            dx = np.zeros((len(js), p))
+            dx[in_support] = state.rows(t, i, js[in_support])
             prev = last_block.get(i)
-            if (prev is not None and prev[1] == js
+            if (prev is not None and np.array_equal(prev[1], js)
                     and np.array_equal(prev[2], inrisk)
                     and np.array_equal(dX[prev[3]:prev[3] + len(js)], dx)):
                 ev_block[m] = prev[0]
@@ -120,16 +119,6 @@ class PreparedDesign:
                 ev_block[m] = len(blk_event)
                 last_block[i] = (len(blk_event), js, inrisk, row_start[m])
                 blk_event.append(m)
-
-            for j in ev.receivers:
-                if j in excluded:
-                    raise ReceiverOutsideRiskSet(
-                        f"event {m}: receiver {j} outside risk set of sender {i}")
-
-            ev_class[m] = static.class_of[i]
-            ev_sender[m] = i
-            ev_size[m] = ev.size
-            ev_risk[m] = risk_size
             row_start[m + 1] = row_start[m] + len(js)
             # triadic products of counts can outgrow int16 on a long stream
             if dX.dtype == np.int16 and len(js) and dx.max() > 32767:
@@ -137,27 +126,16 @@ class PreparedDesign:
             if row_start[m + 1] > len(dX):
                 dX.resize((2 * row_start[m + 1], p), refcheck=False)
             dX[row_start[m]:row_start[m + 1]] = dx
-            recv_start[m + 1] = recv_start[m] + ev.size
-            row_j_parts.append(np.asarray(js, dtype=np.intp))
+            row_j_parts.append(js)
             row_risk_parts.append(inrisk)
-            recv_parts.append(np.asarray(ev.receivers, dtype=np.intp))
             state.advance(ev)
 
-        self.n_events = n
-        self.ev_class = ev_class
-        self.ev_sender = ev_sender
-        self.ev_size = ev_size
-        self.ev_risk = ev_risk
-        self.ev_block = ev_block
         self.blk_event = np.asarray(blk_event, dtype=np.intp)
-        self.row_start = row_start
-        self.recv_start = recv_start
-        self.row_j = np.concatenate(row_j_parts) if row_j_parts else np.zeros(0, dtype=np.intp)
-        self.row_inrisk = np.concatenate(row_risk_parts) if row_risk_parts else np.zeros(0, dtype=bool)
+        self.row_j = np.concatenate(row_j_parts)
+        self.row_inrisk = np.concatenate(row_risk_parts)
         dX.resize((row_start[n], p), refcheck=False)
         self.dX = dX
-        self.recv_j = np.concatenate(recv_parts)
-        self.xsum = self.xsum_of(self.recv_j)
+        self.xsum = self.xsum_of(recv_j)
 
     # -- derived views -----------------------------------------------------
 
@@ -201,21 +179,12 @@ class PreparedDesign:
     def subset(self, cols):
         """Shallow copy restricted to the given columns (deviance tables)."""
         cols = np.asarray(cols, dtype=np.intp)
+        static = copy.copy(self.static)
+        static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
         out = object.__new__(PreparedDesign)
-        out.spec = self.spec
-        out.static = copy.copy(self.static)
-        out.static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
-        out.policy = self.policy
-        out.actor_count = self.actor_count
-        out.term_names = [self.term_names[c] for c in cols]
-        out.p = len(cols)
-        out.n_events = self.n_events
-        for name in ("ev_class", "ev_sender", "ev_size", "ev_risk",
-                     "ev_block", "blk_event", "row_start", "recv_start",
-                     "row_j", "row_inrisk", "recv_j"):
-            setattr(out, name, getattr(self, name))
-        out.xsum = self.xsum[:, cols]
-        out.dX = self.dX[:, cols]
+        out.__dict__.update(self.__dict__, static=static, p=len(cols),
+                            term_names=[self.term_names[c] for c in cols],
+                            xsum=self.xsum[:, cols], dX=self.dX[:, cols])
         return out
 
     def column_indices(self, names):

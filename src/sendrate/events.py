@@ -147,7 +147,9 @@ class RiskSetPolicy:
     """Receiver eligibility: who sender i may contact at time t.
 
     Modes: ``all-but-sender`` (default), ``static`` per-sender sets, or a
-    ``callback(t, i) -> iterable`` for time-varying policies.
+    ``callback(t, i) -> iterable`` for time-varying policies.  ``mask`` is
+    the one query; it raises StreamError naming the sender when the policy
+    gives it no set, or a set holding an id outside the registry.
     """
 
     def __init__(self, mode="all-but-sender", static_sets=None, callback=None):
@@ -161,19 +163,21 @@ class RiskSetPolicy:
         self.static_sets = static_sets
         self.callback = callback
 
-    def risk_set(self, t, i, actor_count):
-        """Eligible receiver ids, sorted.  Deterministic in (t, i)."""
-        if self.mode == "all-but-sender":
-            return [j for j in range(actor_count) if j != i]
-        if self.mode == "static":
-            return sorted(self.static_sets[i])
-        return sorted(self.callback(t, i))
-
     def mask(self, t, i, actor_count):
-        """Boolean eligibility vector of length actor_count."""
-        m = np.zeros(actor_count, dtype=bool)
-        m[self.risk_set(t, i, actor_count)] = True
-        return m
+        """Boolean eligibility vector of length actor_count.  Deterministic
+        in (t, i)."""
+        if self.mode == "all-but-sender":
+            return np.arange(actor_count) != i
+        ids = (self.callback(t, i) if self.mode == "callback"
+               else self.static_sets.get(i))
+        if ids is None:
+            raise StreamError(f"no risk set for sender {i}")
+        ids = np.asarray(list(ids))
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0
+                         or ids.max() >= actor_count):
+            raise StreamError(f"risk set of sender {i} holds ids outside "
+                              f"0..{actor_count - 1}")
+        return np.isin(np.arange(actor_count), ids)
 
 
 @dataclass

@@ -177,7 +177,8 @@ def test_criterion_04_duplication_error_bounds():
                 for m in range(design.n_events))
         amp = K * math.exp(4.0 * K * np.linalg.norm(beta))
         sizes = design.ev_size.astype(float)
-        risk = design.ev_risk.astype(float)
+        risk = np.array([design.risk_mask(m).sum()
+                         for m in range(design.n_events)], dtype=float)
         g2 = float((sizes ** 2 * (sizes - 1) / risk).sum())
         g3 = float((sizes ** 3 * (sizes - 1) / risk).sum())
         grad_gap = float(np.linalg.norm(exact.score - approx.score))

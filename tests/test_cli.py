@@ -142,6 +142,10 @@ class TestExitCodes:
         # replicates draw from the one fixed-size law: no sampler option
         assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
                    "--sampler", "conditional_poisson") == 64
+        # a seed is a non-negative integer
+        assert run("simulate", "--config", "sim.json", "--seed", "-1") == 64
+        assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
+                   "--seed", "-1") == 64
 
     def test_missing_file_is_1(self, workdir):
         assert run("fit", "--events", "nope.csv", "--spec", "spec.json") == 1

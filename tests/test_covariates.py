@@ -3,8 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
-                      IntervalScheme, StaticDesign, StreamError, dense_oracle,
-                      evaluate, prepare, second_order_static_terms)
+                      IntervalScheme, RiskSetPolicy, StaticDesign, StreamError,
+                      dense_oracle, evaluate, prepare, second_order_static_terms)
 from sendrate.covariates import DEFAULT_BOUNDARIES, DynamicState
 
 from conftest import (brute_covariates, covariate_vector, random_stream,
@@ -273,7 +273,7 @@ class TestSparseDenseEquivalence:
             state.advance(e)
         t = stream.events[-1].time + 1.0
         for i in range(actors):
-            active, _ = state.delta_rows(t, i)
+            active = np.flatnonzero(state.support(i))
             outside = [j for j in range(actors) if j != i and j not in active]
             assert not state.rows(t, i, outside).any()
 
@@ -332,6 +332,56 @@ class TestPreparedRows:
                            design)
 
 
+    def test_equivalent_policies_give_one_design(self, rng):
+        actors = 7
+        spec = TestSparseDenseEquivalence().full_spec()
+        stream = random_stream(rng, actors=actors, n=150, max_size=3,
+                               gap=10 * MIN)
+        want = prepare(stream, spec)
+        others = {i: set(range(actors)) - {i} for i in range(actors)}
+        for policy in (RiskSetPolicy("static", static_sets=others),
+                       RiskSetPolicy("callback",
+                                     callback=lambda t, i: others[i])):
+            assert_same_design(prepare(stream, spec, policy=policy), want)
+
+    def test_time_varying_callback_policy(self, rng):
+        # each half hour, a sender loses a different quarter of its peers
+        actors = 7
+        spec = TestSparseDenseEquivalence().full_spec()
+
+        def eligible_mask(t, i):
+            ids = np.arange(actors)
+            return (ids != i) & ((i + ids + int(t // (30 * MIN))) % 4 != 0)
+
+        def eligible(t, i):
+            return set(np.flatnonzero(eligible_mask(t, i)).tolist())
+
+        events, t = [], 0.0
+        for _ in range(150):
+            t += rng.exponential(10 * MIN)
+            i = int(rng.integers(actors))
+            recv = rng.choice(sorted(eligible(t, i)), int(rng.integers(1, 4)),
+                              replace=False)
+            events.append(Event(t, i, tuple(recv.tolist())))
+        stream = EventStream(events, actors)
+        design = prepare(stream, spec,
+                         policy=RiskSetPolicy("callback", callback=eligible))
+        plain = prepare(stream, spec)
+        static = StaticDesign(spec, None, actors)
+        masks = set()
+        for m, ev in enumerate(stream):
+            mask = design.risk_mask(m)
+            assert np.array_equal(mask, eligible_mask(ev.time, ev.sender))
+            assert np.array_equal(design.dense_x(m), plain.dense_x(m))
+            # an ineligible sender keeps a zero row, though its two-paths
+            # back to itself are not zero
+            assert np.array_equal(design.dense_x(m)[ev.sender],
+                                  static.x0_pair(ev.sender, ev.sender))
+            masks.add(mask.tobytes())
+        assert len(masks) > actors
+        assert np.array_equal(design.xsum, plain.xsum)
+
+
 def prepare_unreserved(stream, spec, monkeypatch):
     """``prepare`` where memory refuses the reservation of A rows per
     event, so the rows grow in place."""
@@ -349,7 +399,8 @@ def prepare_unreserved(stream, spec, monkeypatch):
 def assert_same_design(got, want):
     assert got.dX.dtype == want.dX.dtype
     for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
-                 "ev_block", "blk_event"):
+                 "ev_block", "blk_event", "ev_class", "ev_sender", "ev_size",
+                 "recv_start", "recv_j"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -357,22 +408,22 @@ class TestActiveReceivers:
     def test_empty_history(self):
         spec = CovariateSpec(dyadic=[("send", "indicator")])
         state = DynamicState(spec, 4)
-        assert state.delta_rows(0.0, 0)[0] == []
+        assert not state.support(0).any()
 
     def test_send_and_receive_effects(self):
         spec = CovariateSpec(dyadic=[("send", "indicator"),
                                      ("receive", "indicator")])
         state = DynamicState(spec, 4)
         state.advance(Event(1.0, 0, (1,)))
-        assert 1 in state.delta_rows(2.0, 0)[0]
-        assert 0 in state.delta_rows(2.0, 1)[0]
+        assert state.support(0)[1]
+        assert state.support(1)[0]
 
     def test_triadic_closure_activates(self):
         spec = CovariateSpec(triadic=[("2-send", "indicator")])
         state = DynamicState(spec, 4)
         state.advance(Event(1.0, 0, (2,)))   # i -> h
         state.advance(Event(2.0, 2, (1,)))   # h -> j
-        assert 1 in state.delta_rows(3.0, 0)[0]
+        assert state.support(0)[1]
 
 
 class TestCountTensor:

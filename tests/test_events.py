@@ -3,9 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from sendrate import (ActorTraits, Event, EventStream, RiskSetPolicy,
-                      StreamError, export_events, ingest_events, ingest_traits)
+from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
+                      RiskSetPolicy, StreamError, export_events, ingest_events,
+                      ingest_traits, prepare)
 from sendrate.events import MalformedRowError
+
+
+def risk_ids(policy, t, i, actor_count):
+    """Eligible receiver ids of sender i at time t, ascending."""
+    return np.flatnonzero(policy.mask(t, i, actor_count)).tolist()
 
 
 def write(tmp_path, name, text):
@@ -160,18 +166,49 @@ class TestTraits:
 class TestRiskSets:
     def test_all_but_sender(self):
         policy = RiskSetPolicy()
-        assert policy.risk_set(0.0, 2, 4) == [0, 1, 3]
+        assert risk_ids(policy, 0.0, 2, 4) == [0, 1, 3]
 
     def test_all_but_sender_size_155(self):
         policy = RiskSetPolicy()
-        rs = policy.risk_set(10.0, 17, 156)
+        rs = risk_ids(policy, 10.0, 17, 156)
         assert len(rs) == 155 and 17 not in rs
 
     def test_static_passthrough(self):
         policy = RiskSetPolicy("static", static_sets={0: {1, 2}})
-        assert policy.risk_set(0.0, 0, 5) == [1, 2]
-        assert policy.risk_set(99.0, 0, 5) == [1, 2]
+        assert risk_ids(policy, 0.0, 0, 5) == [1, 2]
+        assert risk_ids(policy, 99.0, 0, 5) == [1, 2]
 
     def test_deterministic(self):
         policy = RiskSetPolicy("callback", callback=lambda t, i: {1, 3})
-        assert policy.risk_set(1.0, 0, 5) == policy.risk_set(1.0, 0, 5)
+        assert risk_ids(policy, 1.0, 0, 5) == risk_ids(policy, 1.0, 0, 5)
+
+
+class TestBadRiskSets:
+    """A policy that gives a sender no set, or a set naming an id outside
+    the registry, fails in ``prepare`` with a StreamError naming it."""
+
+    def prepare_with(self, policy, first=(1,)):
+        events = [Event(1.0, 0, first), Event(2.0, 1, (0,)),
+                  Event(3.0, 2, (0,))]
+        return prepare(EventStream(events, 3),
+                       CovariateSpec(dyadic=[("send", "indicator")]),
+                       policy=policy)
+
+    def test_static_set_missing_for_sender(self):
+        policy = RiskSetPolicy("static", static_sets={0: {1}, 2: {0}})
+        with pytest.raises(StreamError, match="sender 1"):
+            self.prepare_with(policy)
+
+    def test_id_past_registry(self):
+        for policy in (
+                RiskSetPolicy("static", static_sets={0: {1, 3}, 1: {0},
+                                                     2: {0}}),
+                RiskSetPolicy("callback", callback=lambda t, i: {1, 3} - {i})):
+            with pytest.raises(StreamError, match="sender 0"):
+                self.prepare_with(policy)
+
+    def test_negative_id_does_not_wrap(self):
+        # -1 would index actor 2 and make the event 0 -> 2 look eligible
+        policy = RiskSetPolicy("static", static_sets={0: {-1}, 1: {0}, 2: {0}})
+        with pytest.raises(StreamError, match="sender 0"):
+            self.prepare_with(policy, first=(2,))

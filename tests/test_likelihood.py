@@ -311,7 +311,8 @@ class TestExactKernel:
             events.append(Event(t, i, tuple(recv)))
         design = prepare(EventStream(events, actors), rich_spec(traits=False),
                          policy=RiskSetPolicy("static", static_sets=sets))
-        full = np.flatnonzero(design.ev_size == design.ev_risk)
+        risk = [design.risk_mask(m).sum() for m in range(design.n_events)]
+        full = np.flatnonzero(design.ev_size == risk)
         assert len(full) > 5 and len(full) < design.n_events
         beta = rng.normal(0, 0.5, size=design.p)
         rep = evaluate(design, beta, "exact_multicast", keep_terms=True)
