@@ -94,10 +94,7 @@ class BootstrapReport:
 
 def _replicate_design(design, recv_j):
     """Shallow design copy with replicate receivers (sizes as recorded)."""
-    out = object.__new__(type(design))
-    out.__dict__.update(design.__dict__, recv_j=recv_j,
-                        xsum=design.xsum_of(recv_j))
-    return out
+    return design.copy_with(recv_j=recv_j, xsum=design.xsum_of(recv_j))
 
 
 def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
@@ -121,7 +118,7 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
     for r in range(config.replicates):
         rep_design = _replicate_design(design, esp.sample_fixed_size_rows(
             probs, design.ev_size, substream(config.seed, r)))
-        delta = likelihood._xsum_total(rep_design) - likelihood._xsum_total(design)
+        delta = rep_design.xtot - design.xtot
         start = replace(rep, logpl=rep.logpl + float(delta @ beta),
                         score=rep.score + delta)
         try:

@@ -104,6 +104,14 @@ def _group_terms(term_names, tokens):
     return groups
 
 
+def _load_fit(path, design):
+    """The fit result at ``path``, refused unless it has the design's terms."""
+    result = solver.FitResult.load(path)
+    if list(result.term_names) != list(design.term_names):
+        raise StreamError("fit terms do not match the covariate spec")
+    return result
+
+
 def cmd_fit(args):
     started = time.monotonic()
     stream, report, spec, traits = _load_inputs(args)
@@ -141,7 +149,7 @@ def cmd_bootstrap(args):
     started = time.monotonic()
     stream, _, spec, traits = _load_inputs(args)
     design = prepare(stream, spec, traits=traits)
-    fit_result = solver.FitResult.load(args.fit) if args.fit else None
+    fit_result = _load_fit(args.fit, design) if args.fit else None
     cfg = bootstrap.BootstrapConfig(replicates=args.replicates, seed=args.seed)
     report = bootstrap.bootstrap_bias(design, fit_result, cfg)
     report.save(args.out)
@@ -182,9 +190,7 @@ def cmd_diagnose(args):
     started = time.monotonic()
     stream, _, spec, traits = _load_inputs(args)
     design = prepare(stream, spec, traits=traits)
-    result = solver.FitResult.load(args.fit)
-    if list(result.term_names) != list(design.term_names):
-        raise StreamError("fit terms do not match the covariate spec")
+    result = _load_fit(args.fit, design)
     counts = diagnostics.expected_counts(design, result.beta,
                                          convention=args.convention)
     report = diagnostics.residuals(counts)

@@ -13,7 +13,8 @@ outside the support has a zero dynamic part.
 
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
-likelihood evaluates each block's normalizer and moments once.
+likelihood evaluates each block's normalizer and moments once per
+receiver-set size (once in all under duplication).
 
 The covariate state behind the replay is ``DynamicState``: a dense tensor
 of per-pair bin counts and visibility flags, 2*A^2*(K+1) doubles, which K
@@ -45,6 +46,7 @@ class PreparedDesign:
       ev_sender   (n,)
       ev_size     (n,)  receiver-set size
       xsum        (n,p) sum of design rows over the observed receivers
+      xtot        (p,)  column totals of xsum
       row_start   (n+1,) CSR offsets into the row arrays
       row_j       (R,)  receiver id per sparse row (sorted within an event):
                         the sender's support and every ineligible actor
@@ -136,6 +138,7 @@ class PreparedDesign:
         dX.resize((row_start[n], p), refcheck=False)
         self.dX = dX
         self.xsum = self.xsum_of(recv_j)
+        self.xtot = self.xsum.sum(axis=0)
 
     # -- derived views -----------------------------------------------------
 
@@ -181,10 +184,17 @@ class PreparedDesign:
         cols = np.asarray(cols, dtype=np.intp)
         static = copy.copy(self.static)
         static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
-        out = object.__new__(PreparedDesign)
-        out.__dict__.update(self.__dict__, static=static, p=len(cols),
-                            term_names=[self.term_names[c] for c in cols],
-                            xsum=self.xsum[:, cols], dX=self.dX[:, cols])
+        return self.copy_with(static=static, p=len(cols),
+                              term_names=[self.term_names[c] for c in cols],
+                              xsum=self.xsum[:, cols], dX=self.dX[:, cols])
+
+    def copy_with(self, **fields):
+        """Shallow copy with the given attributes replaced; a new ``xsum``
+        brings its column totals."""
+        out = copy.copy(self)
+        out.__dict__.update(fields)
+        if "xsum" in fields:
+            out.xtot = out.xsum.sum(axis=0)
         return out
 
     def column_indices(self, names):

@@ -1,22 +1,24 @@
 """Log partial likelihood, score, and observed information.
 
-Three variants share one prepared design:
+Three variants share one prepared design and one kernel:
 
 * ``pairwise`` - strictly single-receiver events;
-* ``approx_multicast`` - duplication: a size-L event contributes L times the
-  single-receiver normalizer;
-* ``exact_multicast`` - the size-L normalizer is the degree-L elementary
-  symmetric polynomial e_L of the risk-set weights, shifted so that the
-  heaviest size-L subset weighs 1 (1 <= e_L <= C(A, L): no underflow); the
-  moments come from the fixed-size law's inclusion probabilities.
+* ``approx_multicast`` - duplication: a size-L event is L draws from the
+  single-receiver law;
+* ``exact_multicast`` - a size-L event is one draw from the size-L
+  fixed-size law (Chen, Dempster & Liu 1994), normalized by the elementary
+  symmetric polynomial e_L of the risk-set weights.
 
-The first two are evaluated once per block of events with identical sparse
-rows, directly over all actors: the block's max-shifted risk-set weights
-give its normalizer, and its full design matrices, assembled from the class
-design and the sparse rows a chunk of whole blocks at a time, give the
-moments.  Scratch memory is bounded by the chunk, not by the number of
-rows.  The information sums each block's rows centred on the block's mean.
-A dense per-event oracle is kept alongside for verification.
+The single-receiver law is the size-1 fixed-size law, so the kernel runs
+over *units*: a block of events with identical sparse rows (and so the same
+weights), a law size L and a multiplicity.  The first two variants take one
+unit per block at L = 1, counted per receiver slot; the exact one takes one
+per (block, size) pair, counted per event.  A unit's weights are shifted so
+that its heaviest size-L subset weighs 1 (1 <= e_L <= C(A, L)), and its
+inclusion probabilities give the moments.  Units are evaluated a chunk of
+one size at a time, so scratch memory is bounded by the chunk, not by the
+number of rows.  A dense per-event oracle is kept alongside for
+verification.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ import numpy as np
 from .esp import esp_table
 from .events import StreamError
 
-#: Bytes of dense designs (exact variant: or of A x A*L tables, if larger)
-#: assembled at once; scratch is a few times this.  On the 156-actor,
+#: Bytes of dense designs (at L > 1 and order 2: or of the two A x A*L
+#: tables of leave-two-out ESPs behind Q, if larger) assembled at once;
+#: scratch is a few times this.  On the 156-actor,
 #: p = 306 benchmark shape, 4-8 MB chunks ran order 2 faster than 32-64 MB.
 _CHUNK_BYTES = 8 << 20
 
@@ -41,7 +44,6 @@ class LikelihoodReport:
     logpl: float
     score: np.ndarray | None = None
     info: np.ndarray | None = None
-    terms: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -84,84 +86,15 @@ def _log_weights(design, beta, x0b, events):
     return S
 
 
-def _risk_weights(design, beta, x0b, events):
-    """Per-event log shift c and max-shifted weights exp(x . beta - c).
-
-    Rows of the (events, A) weight matrix are the selection weights of each
-    event's receivers: zero outside the risk set, at most 1, and exactly 1
-    at the heaviest receiver.  Replay gives every event an in-risk
-    receiver, so c is finite wherever beta is.
-    """
-    S = _log_weights(design, beta, x0b, events)
-    c = S.max(axis=1)
-    return c, np.exp(S - c[:, None])
-
-
-def _xsum_total(design):
-    """Column sums of ``design.xsum``, cached for as long as the design
-    holds the same array (bootstrap replicates and transformed designs
-    replace it rather than write into it)."""
-    cached = getattr(design, "_xsum_total", None)
-    if cached is None or cached[0] is not design.xsum:
-        cached = design._xsum_total = (design.xsum, design.xsum.sum(axis=0))
-    return cached[1]
-
-
-def evaluate(design, beta, variant="approx_multicast", order=2,
-             keep_terms=False):
-    """Evaluate logpl (order 0), plus score (1) and information (2)."""
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (design.p,):
-        raise ValueError(f"beta must have length {design.p}")
-    if variant == "pairwise":
-        if (design.ev_size != 1).any():
-            raise StreamError("pairwise variant requires singleton receiver sets")
-        return _eval_blocks(design, beta, order, keep_terms)
-    if variant == "approx_multicast":
-        return _eval_blocks(design, beta, order, keep_terms)
-    if variant == "exact_multicast":
-        return _eval_exact(design, beta, order, keep_terms)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def _eval_blocks(design, beta, order, keep_terms):
-    """Single-receiver normalizers and moments, once per block of events
-    with identical sparse rows, weighted by the block's receiver slots."""
-    first = design.blk_event
-    mass = np.bincount(design.ev_block, weights=design.ev_size,
-                       minlength=len(first))
-    p = design.p
-    logW = np.empty(len(first))
-    E = np.empty((len(first), p))
-    M = np.zeros((p, p))
-    x0b = design.static._x0 @ beta
-    step = max(1, _CHUNK_BYTES // max(1, 8 * design.actor_count * p))
-    for lo in range(0, len(first), step):
-        blk = slice(lo, lo + step)
-        c, pi = _risk_weights(design, beta, x0b, first[blk])
-        W = pi.sum(axis=1)
-        logW[blk] = c + np.log(W)
-        if order < 1:
-            continue
-        pi /= W[:, None]
-        X = _dense_design(design, first[blk])
-        E[blk] = np.matmul(pi[:, None, :], X)[:, 0]
-        if order >= 2:
-            X -= E[blk, None, :]
-            X *= np.sqrt(mass[blk, None] * pi)[:, :, None]
-            Xf = X.reshape(len(X) * design.actor_count, p)
-            M += Xf.T @ Xf
-
-    xtot = _xsum_total(design)
-    report = LikelihoodReport(float(xtot @ beta - mass @ logW))
-    if keep_terms:
-        report.terms = (design.xsum @ beta
-                        - design.ev_size * logW[design.ev_block])
-    if order >= 1:
-        report.score = xtot - mass @ E
-    if order >= 2:
-        report.info = M
-    return report
+def _top_shift(S, L):
+    """Each row's mean of its L largest log-weights, summed largest first
+    (at L = 1, the row max): shifted by it, the heaviest size-L subset
+    weighs 1.  Replay gives every event an in-risk receiver, so the shift
+    is finite wherever beta is."""
+    if L == 1:
+        return S.max(axis=1)
+    top = np.sort(np.partition(S, -L, axis=1)[:, -L:])
+    return top[:, ::-1].sum(axis=1) / L
 
 
 def _leave_one_out(w, l):
@@ -178,7 +111,12 @@ def _inclusions(w, L, order):
     """Size-L fixed-size law on each row of w (k, A): e_L, then inclusion
     probabilities pi_j = w_j e_{L-1}(w without j) / e_L, then joint ones
     Q_jk = w_j w_k e_{L-2}(w without j, k) / e_L with Q_jj = pi_j (Chen,
-    Dempster & Liu 1994), up to the given order."""
+    Dempster & Liu 1994), up to the given order.  At L = 1 the law is the
+    softmax: e_1 is the row sum, pi = w / e_1, and Q = diag(pi) is left to
+    the caller."""
+    if L == 1:
+        eL = w.sum(axis=1)
+        return (eL,) if order < 1 else (eL, w / eL[:, None])
     eL = esp_table(w, L)[:, -1, L]
     if order < 1:
         return (eL,)
@@ -194,52 +132,84 @@ def _inclusions(w, L, order):
     return eL, pi, Q
 
 
-def _eval_exact(design, beta, order, keep_terms):
-    """Fixed-size law moments a chunk of consecutive events at a time, each
-    event's log-weights shifted by the mean of its L largest.  Information:
-    X'(Q - pi pi')X, whose zero row sums let X be centred on E / L."""
-    n, A, p = design.n_events, design.actor_count, design.p
-    sizes = design.ev_size
-    Lmax = int(sizes.max())
+# ---------------------------------------------------------------------------
+# the kernel
+
+def evaluate(design, beta, variant="approx_multicast", order=2):
+    """Evaluate logpl (order 0), plus score (1) and information (2)."""
+    beta = np.asarray(beta, dtype=np.float64)
+    if beta.shape != (design.p,):
+        raise ValueError(f"beta must have length {design.p}")
+    if variant == "pairwise" and (design.ev_size != 1).any():
+        raise StreamError("pairwise variant requires singleton receiver sets")
+    if variant in ("pairwise", "approx_multicast"):
+        slots = np.bincount(design.ev_block, weights=design.ev_size,
+                            minlength=len(design.blk_event))
+        units = [(1, design.blk_event, slots)]
+    elif variant == "exact_multicast":
+        units = _size_units(design)
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    return _eval_units(design, beta, order, units)
+
+
+def _size_units(design):
+    """Exact-variant units, one (L, first events, event counts) group per
+    receiver-set size: every (block, size) pair that occurs, counted once
+    per event.  A block's events share the sender and the rows, so they
+    see the same weights."""
+    B = len(design.blk_event)
+    Lmax = int(design.ev_size.max())
     if Lmax > _L_MAX:
         raise StreamError(f"receiver-set size {Lmax} exceeds limit {_L_MAX}")
+    events = np.bincount(design.ev_size * B + design.ev_block,
+                         minlength=(Lmax + 1) * B).reshape(Lmax + 1, B)
+    return [(L, design.blk_event[n > 0], n[n > 0].astype(np.float64))
+            for L, n in enumerate(events[1:], 1)]
 
-    logW = np.empty(n)
-    score = np.zeros(p)
-    M = np.zeros((p, p))
+
+def _eval_units(design, beta, order, units):
+    """Totals over units given as (L, first events, counts) groups, a chunk
+    of one group at a time: logpl = xtot . beta - sum count log e_L, score
+    = xtot - sum count E, information sum count X'(Q - pi pi')X."""
+    A, p = design.actor_count, design.p
     x0b = design.static._x0 @ beta
-    step = max(1, _CHUNK_BYTES // (8 * A * max(p, A * Lmax)))
-    for lo in range(0, n, step):
-        ev = np.arange(lo, min(lo + step, n))
-        L = sizes[ev]
-        S = _log_weights(design, beta, x0b, ev)
-        # each event's L.max() largest log-weights, summed largest first
-        top = np.sort(np.partition(S, A - L.max(), axis=1)[:, A - L.max():])
-        top = np.cumsum(top[:, ::-1], axis=1)
-        c = top[np.arange(len(ev)), L - 1] / L
-        w = np.exp(S - c[:, None])
-        parts = [np.empty((len(ev),) + (A,) * k) for k in range(order + 1)]
-        for size in np.unique(L):
-            sel = np.flatnonzero(L == size)
-            for out, part in zip(parts, _inclusions(w[sel], size, order)):
-                out[sel] = part
-        eL, pi, Q = parts + [None] * (2 - order)
-        logW[ev] = L * c + np.log(eL)
-        if order < 1:
-            continue
-        X = _dense_design(design, ev)
-        E = np.matmul(pi[:, None, :], X)[:, 0]
-        score += (design.xsum[ev] - E).sum(axis=0)
-        if order >= 2:
-            Q -= pi[:, :, None] * pi[:, None, :]
-            X -= (E / L[:, None])[:, None, :]
-            M += X.reshape(-1, p).T @ np.matmul(Q, X).reshape(-1, p)
+    norm, mean, M = 0.0, np.zeros(p), np.zeros((p, p))
+    for L, first, count in units:
+        logW = np.empty(len(first))
+        E = np.empty((len(first), p))
+        width = max(p, 2 * A * L) if L > 1 and order > 1 else p
+        step = max(1, _CHUNK_BYTES // max(1, 8 * A * width))
+        for lo in range(0, len(first), step):
+            u = slice(lo, lo + step)
+            S = _log_weights(design, beta, x0b, first[u])
+            c = _top_shift(S, L)
+            eL, *law = _inclusions(np.exp(S - c[:, None]), L, order)
+            logW[u] = L * c + np.log(eL)
+            if order < 1:
+                continue
+            X = _dense_design(design, first[u])
+            E[u] = np.matmul(law[0][:, None, :], X)[:, 0]
+            if order < 2:
+                continue
+            if L == 1:
+                X -= E[u, None, :]
+                X *= np.sqrt(count[u, None] * law[0])[:, :, None]
+                Xf = X.reshape(-1, p)
+                M += Xf.T @ Xf
+            else:   # Q - pi pi' has zero row sums: centre X on E / L
+                pi, Q = law
+                Q -= pi[:, :, None] * pi[:, None, :]
+                Q *= count[u, None, None]
+                X -= (E[u] / L)[:, None, :]
+                M += X.reshape(-1, p).T @ np.matmul(Q, X).reshape(-1, p)
+        norm += count @ logW
+        if order >= 1:
+            mean += count @ E
 
-    terms = design.xsum @ beta - logW
-    report = LikelihoodReport(float(terms.sum()),
-                              terms=terms if keep_terms else None)
+    report = LikelihoodReport(float(design.xtot @ beta - norm))
     if order >= 1:
-        report.score = score
+        report.score = design.xtot - mean
     if order >= 2:
         report.info = 0.5 * (M + M.T)
     return report
@@ -262,13 +232,14 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
         mask = design.risk_mask(m)
         s = X @ beta
         s[~mask] = -np.inf
-        cmax = s.max()
-        w = np.exp(s - cmax)
-        w[~mask] = 0.0
         L = int(design.ev_size[m])
+        # the heaviest receiver (exact: the heaviest size-L subset) weighs 1
+        c = np.sort(s)[-L:].mean() if variant == "exact_multicast" else s.max()
+        w = np.exp(s - c)
+        w[~mask] = 0.0
         if variant in ("pairwise", "approx_multicast"):
             W = w.sum()
-            logW = cmax + np.log(W)
+            logW = c + np.log(W)
             pi = w / W
             logpl += design.xsum[m] @ beta - L * logW
             if order >= 1:
@@ -280,7 +251,7 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
             # centred rows: same covariance, no cancellation of raw moments
             ref = w @ X / w.sum()
             S0, S1, S2 = esp_grad_hess(w, X - ref, L)
-            logpl += design.xsum[m] @ beta - (L * cmax + np.log(S0))
+            logpl += design.xsum[m] @ beta - (L * c + np.log(S0))
             if order >= 1:
                 score += design.xsum[m] - (S1 / S0 + L * ref)
             if order >= 2:
@@ -299,6 +270,7 @@ def selection_probabilities(design, beta):
     x0b = design.static._x0 @ beta
     step = max(1, _CHUNK_BYTES // (8 * A * design.p))
     for lo in range(0, n, step):
-        _, w = _risk_weights(design, beta, x0b, np.arange(lo, min(lo + step, n)))
-        probs[lo:lo + step] = w / w.sum(axis=1)[:, None]
+        S = _log_weights(design, beta, x0b, np.arange(lo, min(lo + step, n)))
+        _, probs[lo:lo + step] = _inclusions(
+            np.exp(S - _top_shift(S, 1)[:, None]), 1, 1)
     return probs

@@ -86,19 +86,20 @@ class FitResult:
         require_keys(obj, ("beta", "se", "cov", "logpl", "n_events",
                            "n_decisions", "iterations", "converged", "terms",
                            "variant", "overdispersion"), "fit result")
-        try:
-            beta = np.array(obj["beta"], dtype=np.float64)
-        except (TypeError, ValueError):
-            raise StreamError("fit result: beta must be a list of numbers") from None
+        beta = _numbers(obj, "beta")
         if not np.isfinite(beta).all():
             raise StreamError("fit result: beta holds NaN or infinity")
         p = len(beta)
-        return cls(beta=beta, se=np.array(obj["se"]),
-                   cov=np.array(obj["cov"]).reshape(p, p),
+        terms = obj["terms"]
+        if not (isinstance(terms, list) and len(terms) == p
+                and all(isinstance(t, str) for t in terms)):
+            raise StreamError(f"fit result: terms must be a list of {p} strings")
+        return cls(beta=beta, se=_numbers(obj, "se", p),
+                   cov=_numbers(obj, "cov", p * p).reshape(p, p),
                    logpl=obj["logpl"], n_events=obj["n_events"],
                    n_decisions=obj["n_decisions"],
                    iterations=obj["iterations"], converged=obj["converged"],
-                   term_names=obj["terms"], variant=obj["variant"],
+                   term_names=terms, variant=obj["variant"],
                    grad_norm=float(obj.get("grad_norm", "nan")),
                    overdispersion=obj["overdispersion"],
                    unidentifiable=obj.get("unidentifiable", []),
@@ -113,6 +114,18 @@ class FitResult:
     def load(cls, path):
         with open(path) as fh:
             return cls.from_json(json.load(fh))
+
+
+def _numbers(obj, key, count=None):
+    """Fit-file field ``key``, a flat list of (``count``) numbers."""
+    try:
+        out = np.array(obj[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or out.ndim != 1 or count not in (None, len(out)):
+        size = "" if count is None else f"{count} "
+        raise StreamError(f"fit result: {key} must be a list of {size}numbers")
+    return out
 
 
 def _newton_direction(info, score):

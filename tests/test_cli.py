@@ -233,6 +233,24 @@ class TestExitCodes:
                    "--spec", "spec.json", *extra) == 1
         assert "beta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["diagnose", "bootstrap"])
+    @pytest.mark.parametrize("field, value", [
+        ("cov", "short"), ("cov", "abc"), ("se", "short"), ("se", "x"),
+        ("terms", 5), ("terms", ["send", "other"])])
+    def test_malformed_fit_file_is_1(self, workdir, capsys, command,
+                                     field, value):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        run("fit", "--events", "e.csv", "--spec", "spec.json",
+            "--out", "fit.json")
+        obj = json.loads(open("fit.json").read())
+        obj[field] = obj[field][:-1] if value == "short" else value
+        (workdir / "bad_fit.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        extra = ["--replicates", "2"] if command == "bootstrap" else []
+        assert run(command, "--fit", "bad_fit.json", "--events", "e.csv",
+                   "--spec", "spec.json", *extra) == 1
+        assert field in capsys.readouterr().err
+
     def test_programming_error_propagates(self, workdir, monkeypatch):
         def broken(args):
             raise KeyError("a bug, not bad data")

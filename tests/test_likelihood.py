@@ -70,6 +70,27 @@ class TestTrivialValues:
         assert_allclose(c.logpl, b.logpl, rtol=1e-12)
         assert_allclose(c.score, b.score, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_variants_coincide_on_singletons(self, rng, shared):
+        # a size-1 event is one draw from the single-receiver law under
+        # every variant, evaluated by the same steps: equal to the bit
+        if shared:
+            spec = CovariateSpec(dyadic=[("send", "indicator"),
+                                         ("receive", "indicator")])
+        else:
+            spec = rich_spec(traits=False)
+        stream = random_stream(rng, actors=5, n=150, gap=20 * MIN)
+        design = prepare(stream, spec)
+        assert (len(design.blk_event) < design.n_events / 2) == shared
+        beta = rng.normal(0, 0.4, size=design.p)
+        for order in range(3):
+            reps = [evaluate(design, beta, v, order) for v in
+                    ("pairwise", "approx_multicast", "exact_multicast")]
+            for rep in reps[1:]:
+                for got, want in zip(vars(rep).values(),
+                                     vars(reps[0]).values()):
+                    assert np.array_equal(got, want)
+
     def test_pairwise_rejects_multicast(self, rng):
         stream = random_stream(rng, actors=6, n=20, max_size=3)
         design = prepare(stream, basic_spec())
@@ -160,14 +181,14 @@ class TestSharedBlocks:
         design = self.indicator_design(rng)
         beta = rng.normal(0, 0.4, size=design.p)
         beta[design.column_indices(["send"])] = send
-        fast = evaluate(design, beta, "approx_multicast", keep_terms=True)
-        slow = dense_oracle(design, beta, "approx_multicast")
-        assert_allclose(fast.logpl, slow.logpl, rtol=1e-11)
-        assert_allclose(fast.score, slow.score,
-                        rtol=1e-9, atol=1e-11 * abs(slow.logpl))
-        assert_allclose(fast.info, slow.info,
-                        rtol=1e-9, atol=1e-11 * abs(slow.logpl))
-        assert_allclose(fast.terms.sum(), slow.logpl, rtol=1e-11)
+        for variant in ("approx_multicast", "exact_multicast"):
+            fast = evaluate(design, beta, variant)
+            slow = dense_oracle(design, beta, variant)
+            assert_allclose(fast.logpl, slow.logpl, rtol=1e-11)
+            assert_allclose(fast.score, slow.score,
+                            rtol=1e-9, atol=1e-11 * abs(slow.logpl))
+            assert_allclose(fast.info, slow.info,
+                            rtol=1e-9, atol=1e-11 * abs(slow.logpl))
 
     def test_overflowing_weights_are_not_clipped(self, rng):
         # a pair of receivers whose weights differ by exp(800) has a size-2
@@ -177,8 +198,7 @@ class TestSharedBlocks:
         design = self.indicator_design(rng)
         beta = rng.normal(0, 0.4, size=design.p)
         beta[design.column_indices(["send"])] = 800.0
-        rep = evaluate(design, beta, "exact_multicast", order=0,
-                       keep_terms=True)
+        got = log_normalizers(design, beta, design.ev_size)
         want = np.empty(design.n_events)
         for m in range(design.n_events):
             s = design.dense_x(m) @ beta
@@ -186,7 +206,10 @@ class TestSharedBlocks:
             sums = [s[list(sub)].sum() for sub in
                     itertools.combinations(risk, int(design.ev_size[m]))]
             want[m] = np.logaddexp.reduce(sums)
-        assert_allclose(design.xsum @ beta - rep.terms, want, rtol=1e-12)
+        assert_allclose(got, want, rtol=1e-12)
+        rep = evaluate(design, beta, "exact_multicast", order=0)
+        assert_allclose(rep.logpl, (design.xsum @ beta - want).sum(),
+                        rtol=1e-12)
 
 
 def accuracy_design(seed):
@@ -204,6 +227,22 @@ def accuracy_design(seed):
 
 def rel_diff(a, b):
     return np.abs(a - b).max() / max(1.0, np.abs(b).max())
+
+
+def log_normalizers(design, beta, sizes, events=None):
+    """Per-event log e_L of the size-``sizes[m]`` fixed-size law over the
+    event's risk set, from the kernel's steps: log-weights, top-L shift,
+    e_L (for the given events, all at once; default every event)."""
+    events = np.arange(design.n_events) if events is None else events
+    S = likelihood._log_weights(design, beta, design.static._x0 @ beta,
+                                events)
+    out = np.empty(len(events))
+    for L in np.unique(sizes[events]):
+        sel = sizes[events] == L
+        c = likelihood._top_shift(S[sel], L)
+        eL, = likelihood._inclusions(np.exp(S[sel] - c[:, None]), L, 0)
+        out[sel] = L * c + np.log(eL)
+    return out
 
 
 class TestBlockEvaluator:
@@ -229,14 +268,16 @@ class TestBlockEvaluator:
             design = prepare(stream, rich_spec())
             assert len(design.blk_event) == design.n_events
         beta = rng.normal(0, 0.3, size=design.p)
-        whole = evaluate(design, beta, "approx_multicast", keep_terms=True)
+        whole = evaluate(design, beta, "approx_multicast")
         block_bytes = 8 * design.actor_count * design.p
         monkeypatch.setattr(likelihood, "_CHUNK_BYTES", 3 * block_bytes)
-        parts = evaluate(design, beta, "approx_multicast", keep_terms=True)
+        parts = evaluate(design, beta, "approx_multicast")
         assert rel_diff(parts.logpl, whole.logpl) <= 1e-12
         assert rel_diff(parts.score, whole.score) <= 1e-12
         assert rel_diff(parts.info, whole.info) <= 1e-12
-        assert rel_diff(parts.terms, whole.terms) <= 1e-12
+        ones = np.ones(design.n_events, dtype=np.intp)
+        assert rel_diff(chunked_normalizers(design, beta, ones),
+                        log_normalizers(design, beta, ones)) <= 1e-12
 
     def test_scratch_bounded_by_chunk(self, monkeypatch):
         design, beta = accuracy_design(1)
@@ -270,11 +311,20 @@ class TestBlockEvaluator:
             assert peak - 8 * n * A < 4 * R * p
 
 
-def exact_chunk_bytes(design, events):
-    """``_CHUNK_BYTES`` at which the exact kernel takes the given number
-    of events per chunk."""
+def chunked_normalizers(design, beta, sizes):
+    """``log_normalizers`` three events at a time."""
+    chunks = np.array_split(np.arange(design.n_events), design.n_events // 3)
+    return np.concatenate([log_normalizers(design, beta, sizes, ev)
+                           for ev in chunks])
+
+
+def exact_chunk_bytes(design, units):
+    """``_CHUNK_BYTES`` at which the exact kernel's order-2 evaluation
+    takes the given number of units per chunk of the largest receiver-set
+    size, and as many or more per chunk of a smaller size: a chunk's width
+    is max(p, 2 * A * L) at L > 1 and p at L = 1."""
     A, Lmax = design.actor_count, int(design.ev_size.max())
-    return events * 8 * A * max(design.p, A * Lmax)
+    return units * 8 * A * max(design.p, 2 * A * Lmax)
 
 
 class TestExactKernel:
@@ -315,8 +365,10 @@ class TestExactKernel:
         full = np.flatnonzero(design.ev_size == risk)
         assert len(full) > 5 and len(full) < design.n_events
         beta = rng.normal(0, 0.5, size=design.p)
-        rep = evaluate(design, beta, "exact_multicast", keep_terms=True)
-        assert np.abs(rep.terms[full]).max() <= 1e-12
+        terms = (design.xsum @ beta
+                 - log_normalizers(design, beta, design.ev_size))
+        assert np.abs(terms[full]).max() <= 1e-12
+        rep = evaluate(design, beta, "exact_multicast")
         slow = dense_oracle(design, beta, "exact_multicast")
         assert rel_diff(rep.info, slow.info) <= 1e-10
         S = likelihood._log_weights(design, beta, design.static._x0 @ beta,
@@ -353,18 +405,24 @@ class TestExactKernel:
             assert_allclose(rep.logpl, logpl, rtol=1e-13)
 
     def test_chunks_match_one_chunk(self, rng, monkeypatch):
+        shared = TestSharedBlocks.indicator_design(rng)
+        assert len(shared.blk_event) < shared.n_events / 2
         stream = random_stream(rng, actors=7, n=80, max_size=4,
                                gap=20 * MIN, traits=random_traits(rng, 7))
-        design = prepare(stream, rich_spec())
-        beta = rng.normal(0, 0.3, size=design.p)
-        whole = evaluate(design, beta, "exact_multicast", keep_terms=True)
-        monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
-                            exact_chunk_bytes(design, 3))
-        parts = evaluate(design, beta, "exact_multicast", keep_terms=True)
-        assert rel_diff(parts.logpl, whole.logpl) <= 1e-12
-        assert rel_diff(parts.score, whole.score) <= 1e-12
-        assert rel_diff(parts.info, whole.info) <= 1e-12
-        assert rel_diff(parts.terms, whole.terms) <= 1e-12
+        one_chunk = likelihood._CHUNK_BYTES
+        for design in (shared, prepare(stream, rich_spec())):
+            beta = rng.normal(0, 0.3, size=design.p)
+            monkeypatch.setattr(likelihood, "_CHUNK_BYTES", one_chunk)
+            whole = evaluate(design, beta, "exact_multicast")
+            monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
+                                exact_chunk_bytes(design, 3))
+            parts = evaluate(design, beta, "exact_multicast")
+            assert rel_diff(parts.logpl, whole.logpl) <= 1e-12
+            assert rel_diff(parts.score, whole.score) <= 1e-12
+            assert rel_diff(parts.info, whole.info) <= 1e-12
+            sizes = design.ev_size
+            assert rel_diff(chunked_normalizers(design, beta, sizes),
+                            log_normalizers(design, beta, sizes)) <= 1e-12
 
     def test_scratch_bounded_by_chunk(self, monkeypatch):
         # an (L+1) n p^2 table of Hessian sums would be four times the bound
@@ -421,12 +479,12 @@ class TestStructure:
         beta = rng.normal(0, 0.4, size=spec.dim)
         total = evaluate(design, beta, "approx_multicast", order=1)
         logpl_parts = 0.0
-        score_parts = np.zeros(spec.dim)
-        rep = evaluate(design, beta, "approx_multicast", order=0,
-                       keep_terms=True)
+        ones = np.ones(design.n_events, dtype=np.intp)
+        terms = (design.xsum @ beta
+                 - design.ev_size * log_normalizers(design, beta, ones))
         for i in range(actors):
             sel = design.ev_sender == i
-            logpl_parts += rep.terms[sel].sum()
+            logpl_parts += terms[sel].sum()
         assert_allclose(total.logpl, logpl_parts, rtol=1e-12)
 
     def test_concavity_along_segments(self, rng):
@@ -458,8 +516,8 @@ class TestStructure:
                                gap=30 * MIN)
         design = prepare(stream, spec)
         beta = rng.normal(0, 0.5, size=spec.dim)
-        rep = evaluate(design, beta, "exact_multicast", order=0,
-                       keep_terms=True)
+        terms = (design.xsum @ beta
+                 - log_normalizers(design, beta, design.ev_size))
         for m in range(design.n_events):
             X = design.dense_x(m)
             mask = design.risk_mask(m)
@@ -468,7 +526,7 @@ class TestStructure:
             W = sum(np.prod(w[list(s)])
                     for s in itertools.combinations(range(actors), L))
             term = design.xsum[m] @ beta - math.log(W)
-            assert_allclose(rep.terms[m], term, rtol=1e-10)
+            assert_allclose(terms[m], term, rtol=1e-10)
 
 
 class TestSelectionProbabilities:

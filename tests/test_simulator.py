@@ -210,7 +210,7 @@ class TestTriadicRefresh:
         monkeypatch.setattr(esp, "sample_fixed_size", recording)
         design = prepare(simulate(cfg), spec)
         assert design.spec.has_triadic and len(drawn) == design.n_events == 400
-        _, want = likelihood._risk_weights(design, beta,
-                                           design.static._x0 @ beta,
-                                           np.arange(design.n_events))
+        S = likelihood._log_weights(design, beta, design.static._x0 @ beta,
+                                    np.arange(design.n_events))
+        want = np.exp(S - likelihood._top_shift(S, 1)[:, None])
         assert np.abs(np.array(drawn) - want).max() <= 1e-12

@@ -147,6 +147,7 @@ class TestInvariance:
         out.dX[:, col] *= a
         out.xsum = design.xsum.copy()
         out.xsum[:, col] = a * design.xsum[:, col] + b * design.ev_size
+        out.xtot = out.xsum.sum(axis=0)
         x0 = out.static._x0.copy()
         x0[:, :, col] = a * x0[:, :, col] + b
         out.static._x0 = x0
