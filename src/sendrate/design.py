@@ -52,6 +52,15 @@ class PreparedDesign:
                         the sender's support and every ineligible actor
       row_inrisk  (R,)  eligibility flag; risk_mask(m) rebuilds the mask
       dX          (R,p) dynamic design rows (static columns zero)
+      nz_columns  (K,)  the columns that can hold a non-zero: the dynamic
+                        ones
+    and, where dX is mostly zero (``_SPARSE_BELOW``), a CSR of its
+    non-zeros (else None):
+      nz_start    (R+1,) offsets of each row's non-zeros (int32 while they
+                        fit)
+      nz_col      (N,)  each non-zero's position in nz_columns, in the
+                        smallest unsigned dtype that holds K - 1
+      nz_val      (N,)  their values, in dX's dtype
       recv_start/(n+1,), recv_j: observed receiver ids, CSR
       ev_block    (n,)  block id per event
       blk_event   (B,)  first event of each block (its rows are the block's)
@@ -59,7 +68,10 @@ class PreparedDesign:
     Every entry of dX is a count, a product of counts or a 0/1 flag, so
     int16 holds it exactly at a quarter of float64's bytes; the first event
     with an entry above 32,767 widens the rows once to float64.  Readers
-    accept any numeric dX and upcast a chunk of rows at a time.
+    accept any numeric dX and upcast a chunk of rows at a time.  The CSR
+    holds the same entries, for readers whose cost should follow the
+    non-zeros (the single-receiver moments, see ``likelihood``); a design
+    that replaces dX replaces it too.
     """
 
     def __init__(self, spec, static, stream, policy):
@@ -109,9 +121,8 @@ class PreparedDesign:
             inrisk = mask[js]
             # rows only on the support: a masked-out actor outside it keeps
             # a zero row, where rows(t, i, [i]) would count paths i->h->i
-            in_support = support[js]
-            dx = np.zeros((len(js), p))
-            dx[in_support] = state.rows(t, i, js[in_support])
+            dx = state.rows(t, i, js)
+            dx[~support[js]] = 0.0
             prev = last_block.get(i)
             if (prev is not None and np.array_equal(prev[1], js)
                     and np.array_equal(prev[2], inrisk)
@@ -137,6 +148,9 @@ class PreparedDesign:
         self.row_inrisk = np.concatenate(row_risk_parts)
         dX.resize((row_start[n], p), refcheck=False)
         self.dX = dX
+        self.nz_columns = np.arange(spec.static_dim, p)
+        self.nz_start, self.nz_col, self.nz_val = _nonzeros(
+            dX, spec.static_dim)
         self.xsum = self.xsum_of(recv_j)
         self.xtot = self.xsum.sum(axis=0)
 
@@ -184,9 +198,26 @@ class PreparedDesign:
         cols = np.asarray(cols, dtype=np.intp)
         static = copy.copy(self.static)
         static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
+        # the non-zeros in kept columns, renumbered; rows keep their order
+        at = np.full(self.p, -1)
+        at[cols] = np.arange(len(cols))
+        at = at[self.nz_columns]        # each stored column's new id, or -1
+        stored = at >= 0
+        nz = {"nz_start": None, "nz_col": None, "nz_val": None}
+        if self.nz_val is not None:
+            kept = stored[self.nz_col]
+            if kept.sum() < _SPARSE_BELOW * len(self.dX) * len(cols):
+                starts = np.zeros(len(kept) + 1, dtype=self.nz_start.dtype)
+                np.cumsum(kept, out=starts[1:])
+                position = np.cumsum(stored) - 1
+                nz = {"nz_start": starts[self.nz_start],
+                      "nz_col": position[self.nz_col[kept]].astype(
+                          _col_dtype(stored.sum())),
+                      "nz_val": self.nz_val[kept]}
         return self.copy_with(static=static, p=len(cols),
                               term_names=[self.term_names[c] for c in cols],
-                              xsum=self.xsum[:, cols], dX=self.dX[:, cols])
+                              xsum=self.xsum[:, cols], dX=self.dX[:, cols],
+                              nz_columns=at[stored], **nz)
 
     def copy_with(self, **fields):
         """Shallow copy with the given attributes replaced; a new ``xsum``
@@ -199,6 +230,54 @@ class PreparedDesign:
 
     def column_indices(self, names):
         return [self.term_names.index(n) for n in names]
+
+
+#: dX's non-zero share below which a design keeps the CSR of its non-zeros
+#: and the likelihood's single-receiver moments follow them instead of
+#: dense designs.  Order-2 time of that sparse path over the dense one
+#: (one thread, 2,000 events of the 21-column triadic benchmark spec or
+#: 1,000 of the 306-column e-mail spec, by actor count, share in brackets):
+#: 21 columns, A = 10-80 (0.38-0.18): 1.8-2.3, A = 156 (0.12): 0.89;
+#: 306 columns, A = 10 (0.23): 1.16, 20 (0.18): 0.94, 40 (0.11): 0.73,
+#: 80 (0.055): 0.40, 156 (0.021): 0.33.  Order 1 ran faster sparse on all
+#: of them.  Below 0.1 the sparse path won everywhere; a design that would
+#: gain between 0.1 and its crossover keeps the dense one, and a dense
+#: design pays neither the CSR's memory nor its build.
+_SPARSE_BELOW = 0.1
+
+
+def _col_dtype(k):
+    """The smallest unsigned dtype that holds positions among k columns."""
+    return np.min_scalar_type(max(k - 1, 0))
+
+
+def _nonzeros(dX, first):
+    """CSR of the non-zeros of dX's columns first to p - 1, the ones that
+    can hold any: row offsets, column positions counted from ``first``
+    (``_col_dtype``) and values in dX's dtype; Nones unless the non-zeros
+    are under ``_SPARSE_BELOW`` of dX's entries.  It reads about 1 MB of
+    rows, or rows holding about 64k non-zeros if fewer, at a time into
+    arrays of their final size, so its int64 scratch stays near 1.5 MB."""
+    dyn = dX[:, first:]
+    R, q = dyn.shape
+    nnz = int(np.count_nonzero(dyn))
+    if nnz >= _SPARSE_BELOW * dX.size:
+        return None, None, None
+    start = np.zeros(R + 1, dtype=np.int32 if nnz < 2 ** 31 else np.int64)
+    col = np.empty(nnz, dtype=_col_dtype(q))
+    val = np.empty(nnz, dtype=dX.dtype)
+    step = max(1, min((1 << 20) // max(1, dX.shape[1]),
+                      (R << 16) // max(1, nnz)))
+    at = 0
+    for lo in range(0, R, step):
+        rows = dyn[lo:lo + step]
+        row, c = np.divmod(np.flatnonzero(rows != 0), q)
+        col[at:at + len(c)] = c
+        val[at:at + len(c)] = rows[row, c]
+        start[lo + 1:lo + 1 + len(rows)] = np.bincount(row,
+                                                       minlength=len(rows))
+        at += len(c)
+    return np.cumsum(start, out=start), col, val
 
 
 def prepare(stream, spec, traits=None, policy=None):

@@ -19,6 +19,19 @@ inclusion probabilities give the moments.  Units are evaluated a chunk of
 one size at a time, so scratch memory is bounded by the chunk, not by the
 number of rows.  A dense per-event oracle is kept alongside for
 verification.
+
+logpl always comes from the same steps (``_log_weights``, the shift, e_L).
+The moments take one of two paths.  The dense one assembles each unit's
+(A, p) design, the static design of its sender's class plus its dynamic
+rows, and centres it on the unit's mean: at L = 1 the information is a sum
+of squares of sqrt(count pi)-weighted centred rows, at L > 1 it is X'(Q -
+pi pi')X.  The sparse one serves L = 1 units of designs whose dX is mostly
+zero, which keep the CSR of its non-zeros (``design._SPARSE_BELOW`` gives
+the rule and its measured crossover): a row splits into a static part
+shared by every sender of a class and a dynamic part that is zero off the
+unit's sparse rows, and ``_SingleLaw`` sums the three blocks of the
+information from those parts, centring only the dynamic rows, with no
+dense design.
 """
 
 from __future__ import annotations
@@ -49,17 +62,23 @@ class LikelihoodReport:
 # ---------------------------------------------------------------------------
 # risk-set weights and dense designs
 
-def _event_rows(design, events):
-    """The given events' sparse rows, as a slice when the events are
-    consecutive (a view of ``dX``) and as indices otherwise, and the
-    position in ``events`` of the event each row belongs to."""
-    start, stop = design.row_start[events], design.row_start[events + 1]
+def _ranges(start, stop):
+    """The concatenated index ranges [start_k, stop_k), as a slice when
+    each begins where the previous one ends and as indices otherwise, and
+    the k each index comes from."""
     counts = stop - start
-    local = np.repeat(np.arange(len(events)), counts)
-    if len(events) and (np.diff(events) == 1).all():
-        return slice(start[0], stop[-1]), local
-    skip = (start - np.cumsum(counts) + counts)[local]
-    return skip + np.arange(len(local)), local
+    owner = np.repeat(np.arange(len(start)), counts)
+    if len(start) and (start[1:] == stop[:-1]).all():
+        return slice(start[0], stop[-1]), owner
+    skip = (start - np.cumsum(counts) + counts)[owner]
+    return skip + np.arange(len(owner)), owner
+
+
+def _event_rows(design, events):
+    """The given events' sparse rows, as a slice when the events' rows are
+    adjacent (a view of ``dX``) and as indices otherwise, and the position
+    in ``events`` of the event each row belongs to."""
+    return _ranges(design.row_start[events], design.row_start[events + 1])
 
 
 def _dense_design(design, events):
@@ -171,10 +190,18 @@ def _size_units(design):
 def _eval_units(design, beta, order, units):
     """Totals over units given as (L, first events, counts) groups, a chunk
     of one group at a time: logpl = xtot . beta - sum count log e_L, score
-    = xtot - sum count E, information sum count X'(Q - pi pi')X."""
+    = xtot - sum count E, information sum count X'(Q - pi pi')X.
+
+    Size-1 units take their moments from the sender classes and the
+    non-zeros of dX (``_SingleLaw``) when the design keeps their CSR, with
+    no dense design; other units, and size-1 units of denser designs, from
+    each unit's dense (A, p) design, centred on its mean E."""
     A, p = design.actor_count, design.p
     x0b = design.static._x0 @ beta
     norm, mean, M = 0.0, np.zeros(p), np.zeros((p, p))
+    single = (_SingleLaw(design, order) if order > 0
+              and design.nz_val is not None
+              and any(L == 1 for L, *_ in units) else None)
     for L, first, count in units:
         logW = np.empty(len(first))
         E = np.empty((len(first), p))
@@ -187,6 +214,9 @@ def _eval_units(design, beta, order, units):
             eL, *law = _inclusions(np.exp(S - c[:, None]), L, order)
             logW[u] = L * c + np.log(eL)
             if order < 1:
+                continue
+            if L == 1 and single is not None:
+                E[u] = single.add(first[u], count[u], law[0])
                 continue
             X = _dense_design(design, first[u])
             E[u] = np.matmul(law[0][:, None, :], X)[:, 0]
@@ -211,8 +241,109 @@ def _eval_units(design, beta, order, units):
     if order >= 1:
         report.score = design.xtot - mean
     if order >= 2:
+        if single is not None:
+            M += single.info()
         report.info = 0.5 * (M + M.T)
     return report
+
+
+class _SingleLaw:
+    """Score and information of size-1 units, accumulated a chunk at a time
+    from each unit's sender class k and its rows' non-zeros.
+
+    A unit's receiver r has the row x_r = X0_k[r] + d_r, where d_r is zero
+    off the unit's sparse rows.  With E0 = pi X0_k and Ed = sum_r pi_r d_r
+    the two parts of its mean E, count weight c and centred parts a_r =
+    X0_k[r] - E0, b_r = d_r - Ed (each with pi-mean zero), its information
+    c sum_r pi_r (a_r + b_r)(a_r + b_r)' splits into
+
+    * static: sum_k X0_k' diag(Omega_k) X0_k - sum c E0 E0', where Omega_k
+      sums c pi over class k's units (one contraction per evaluation);
+    * cross: X0' H - sum c E0 Ed' (and its transpose), where H sums c pi_r
+      d_r per (class, receiver), over the columns that hold non-zeros;
+    * dynamic: c sum_r pi_r b_r b_r' over the rows with a non-zero, kept
+      dense over the chunk's active columns only, plus the other
+      receivers' summed mass c pi times Ed Ed'.
+
+    The dynamic block carries most of the digits, so its rows are centred
+    before the products, and the mass of the receivers without a non-zero
+    is summed, not taken as 1 minus the rows' mass."""
+
+    def __init__(self, design, order):
+        self.design, self.order = design, order
+        x0 = design.static._x0
+        K, A, p = x0.shape
+        self.s = np.flatnonzero(x0.any(axis=(0, 1)))   # static columns
+        self.x0s = x0[:, :, self.s]
+        self.omega = np.zeros((K, A))           # sum c pi per class
+        # per (class, receiver) over the columns that hold non-zeros
+        self.H = np.zeros((K * A, len(design.nz_columns)))
+        self.static = np.zeros((len(self.s), len(self.s)))  # -sum c E0 E0'
+        self.cross = np.zeros((len(self.s), p))             # -sum c E0 Ed'
+        self.M = np.zeros((p, p))               # the dynamic block
+
+    def add(self, events, count, pi):
+        """Add a chunk of size-1 units with probabilities pi (n, A) and
+        counts c; return their means E (n, p)."""
+        d, n = self.design, len(events)
+        A, p = d.actor_count, d.p
+        rows, local = _event_rows(d, events)
+        if isinstance(rows, slice):
+            rows = np.arange(rows.start, rows.stop)
+        start, stop = d.nz_start[rows], d.nz_start[rows + 1]
+        nnz = stop - start
+        ent, owner = _ranges(start, stop)       # the rows' non-zeros
+        at = d.nz_col[ent]                      # position in nz_columns
+        col, val = d.nz_columns[at], d.nz_val[ent].astype(np.float64)
+        rj = d.row_j[rows]
+        pi_d = pi[local, rj][owner] * val       # pi_r d_r, per entry
+        E = np.zeros(n * p)     # (a bincount of no entries would be int)
+        E += np.bincount(local[owner] * p + col, weights=pi_d,
+                         minlength=n * p)
+        E = E.reshape(n, p)     # Ed, until E0 joins it
+        cls = d.ev_class[events]
+        E0 = np.empty((n, len(self.s)))
+        for k in np.unique(cls):
+            sel = cls == k
+            E0[sel] = pi[sel] @ self.x0s[k]
+            self.omega[k] += count[sel] @ pi[sel]
+        if self.order > 1:
+            active = np.zeros(p, dtype=bool)
+            active[col] = True
+            act = np.flatnonzero(active)
+            Ed = E[:, act]
+            # the rows with a non-zero, centred, over the active columns
+            nzr = np.flatnonzero(nnz)
+            D = np.zeros((len(nzr), len(act)))
+            D[np.repeat(np.arange(len(nzr)), nnz[nzr]),
+              (np.cumsum(active) - 1)[col]] = val
+            D -= Ed[local[nzr]]
+            D *= np.sqrt(count[local[nzr]] * pi[local[nzr], rj[nzr]])[:, None]
+            off = pi.copy()
+            off[local[nzr], rj[nzr]] = 0.0
+            mass = count * off.sum(axis=1)
+            self.M[np.ix_(act, act)] += D.T @ D + Ed.T @ (mass[:, None] * Ed)
+            cE0 = count[:, None] * E0
+            self.static -= cE0.T @ E0
+            self.cross[:, act] -= cE0.T @ Ed
+            pair = (cls[local] * A + rj)[owner]     # (class, receiver)
+            np.add.at(self.H.reshape(-1), pair * self.H.shape[1] + at,
+                      count[local][owner] * pi_d)
+        E[:, self.s] += E0
+        return E
+
+    def info(self):
+        """The summed information, unsymmetrised."""
+        s = self.s
+        x0 = self.x0s.reshape(len(self.H), len(s))
+        M = self.M
+        M[np.ix_(s, s)] += x0.T @ (self.omega.reshape(-1)[:, None] * x0) \
+            + self.static
+        cross = self.cross
+        cross[:, self.design.nz_columns] += x0.T @ self.H
+        M[s, :] += cross
+        M[:, s] += cross.T
+        return M
 
 
 def dense_oracle(design, beta, variant="approx_multicast", order=2):
@@ -263,14 +394,15 @@ def dense_oracle(design, beta, variant="approx_multicast", order=2):
 
 def selection_probabilities(design, beta):
     """(n, A) matrix of single-selection probabilities per event, zero for
-    receivers outside the risk set."""
+    receivers outside the risk set: one row per block, expanded to its
+    events."""
     beta = np.asarray(beta, dtype=np.float64)
-    n, A = design.n_events, design.actor_count
-    probs = np.empty((n, A))
+    blocks, A = design.blk_event, design.actor_count
+    probs = np.empty((len(blocks), A))
     x0b = design.static._x0 @ beta
     step = max(1, _CHUNK_BYTES // (8 * A * design.p))
-    for lo in range(0, n, step):
-        S = _log_weights(design, beta, x0b, np.arange(lo, min(lo + step, n)))
+    for lo in range(0, len(blocks), step):
+        S = _log_weights(design, beta, x0b, blocks[lo:lo + step])
         _, probs[lo:lo + step] = _inclusions(
             np.exp(S - _top_shift(S, 1)[:, None]), 1, 1)
-    return probs
+    return probs if len(blocks) == design.n_events else probs[design.ev_block]

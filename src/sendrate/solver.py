@@ -2,10 +2,13 @@
 errors, Wald tests, and sequential analysis-of-deviance tables.
 
 Ascent is guaranteed by backtracking on the objective: the step is halved
-until logpl rises by at least 1e-4 of the predicted gain.  Singular
-information triggers a diagonal ridge, from 1e-8 of the information's
-largest entry up tenfold to 1e-2, and the affected coefficients are
-flagged instead of silently projected away.
+until logpl rises by at least 1e-4 of the predicted gain, less logpl's
+rounding floor of 4 ulp.  Near the optimum the predicted gain falls below
+that floor, where rounding alone would decide a strict test: a step is
+then accepted unless logpl falls by more than the floor, and the search
+does not halve on noise.  Singular information triggers a diagonal ridge,
+from 1e-8 of the information's largest entry up tenfold to 1e-2, and the
+affected coefficients are flagged instead of silently projected away.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ class SingularInformationError(StreamError):
 _SHRINK = 0.5                   # line-search step factor
 _SUFFICIENT_INCREASE = 1e-4     # share of the predicted gain a step must earn
 _RIDGE_INIT, _RIDGE_MAX = 1e-8, 1e-2    # relative to the largest |info| entry
+_FLOOR_ULPS = 4                 # logpl differences this many ulp apart are noise
 
 
 @dataclass
@@ -150,9 +154,9 @@ def _newton_direction(info, score):
 def fit(design, variant="approx_multicast", config=None, beta0=None):
     """Maximize the selected log partial likelihood by damped Newton.
 
-    Every accepted step increases the objective (backtracking line search);
-    convergence is declared when the score sup-norm falls below
-    grad_tol * max(1, selection decisions).
+    Every accepted step increases the objective up to its rounding floor
+    (backtracking line search); convergence is declared when the score
+    sup-norm falls below grad_tol * max(1, selection decisions).
     """
     config = config or SolverConfig()
     if design.p < 1:
@@ -177,13 +181,15 @@ def _newton(design, variant, config, beta, rep):
             break
         step = _newton_direction(rep.info, rep.score)
         slope = float(step @ rep.score)
+        # logpl's rounding floor: differences below it cannot be seen
+        floor = _FLOOR_ULPS * float(np.spacing(abs(rep.logpl)))
         alpha = 1.0
         accepted = None
         for _ in range(60):
             cand = beta + alpha * step
             cand_rep = likelihood.evaluate(design, cand, variant, order=0)
-            if np.isfinite(cand_rep.logpl) and cand_rep.logpl >= \
-                    rep.logpl + _SUFFICIENT_INCREASE * alpha * slope:
+            if np.isfinite(cand_rep.logpl) and cand_rep.logpl >= rep.logpl \
+                    + _SUFFICIENT_INCREASE * alpha * slope - floor:
                 accepted = cand
                 break
             alpha *= _SHRINK

@@ -381,6 +381,39 @@ class TestPreparedRows:
         assert len(masks) > actors
         assert np.array_equal(design.xsum, plain.xsum)
 
+    def test_nonzeros_list_the_rows_entries(self, rng, monkeypatch):
+        # kept where under a tenth of dX is non-zero; row by row, in
+        # column order and in dX's dtype; a subset keeps its columns'
+        # entries, renumbered
+        spec = TestSparseDenseEquivalence().full_spec()
+        stream = random_stream(rng, actors=6, n=200, max_size=3,
+                               gap=10 * MIN)
+        design = prepare(stream, spec)
+        share = np.count_nonzero(design.dX) / design.dX.size
+        assert share > 0.1 and design.nz_val is None
+        monkeypatch.setattr("sendrate.design._SPARSE_BELOW", 2.0)
+        design = prepare(stream, spec)
+        rows, cols = np.nonzero(design.dX)
+        assert np.array_equal(np.repeat(np.arange(len(design.dX)),
+                                        np.diff(design.nz_start)), rows)
+        assert np.array_equal(design.nz_columns[design.nz_col], cols)
+        assert np.array_equal(design.nz_val, design.dX[rows, cols])
+        assert design.nz_val.dtype == design.dX.dtype
+        assert design.nz_col.dtype == np.uint8
+        sub = design.subset(np.arange(spec.dim)[::-2])
+        dense = np.zeros_like(sub.dX)
+        dense[np.repeat(np.arange(len(sub.dX)), np.diff(sub.nz_start)),
+              sub.nz_columns[sub.nz_col]] = sub.nz_val
+        assert np.array_equal(dense, sub.dX) and (sub.nz_val != 0).all()
+        # a subset keeps the CSR only while it stays under the share
+        monkeypatch.setattr("sendrate.design._SPARSE_BELOW", 1.01 * share)
+        design = prepare(stream, spec)
+        assert design.nz_val is not None
+        counts = np.count_nonzero(design.dX, axis=0)
+        order = np.argsort(counts)
+        assert design.subset(order[len(order) // 2:]).nz_val is None
+        assert design.subset(order[:len(order) // 2]).nz_val is not None
+
 
 def prepare_unreserved(stream, spec, monkeypatch):
     """``prepare`` where memory refuses the reservation of A rows per
@@ -398,9 +431,11 @@ def prepare_unreserved(stream, spec, monkeypatch):
 
 def assert_same_design(got, want):
     assert got.dX.dtype == want.dX.dtype
+    assert np.asarray(got.nz_val).dtype == np.asarray(want.nz_val).dtype
     for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
                  "ev_block", "blk_event", "ev_class", "ev_sender", "ev_size",
-                 "recv_start", "recv_j"):
+                 "recv_start", "recv_j", "nz_start", "nz_columns", "nz_col",
+                 "nz_val"):
         assert np.array_equal(getattr(got, name), getattr(want, name))
 
 

@@ -566,6 +566,19 @@ class TestSelectionProbabilities:
             state.advance(e)
 
 
+    def test_blocks_expand_to_events(self, rng):
+        # one row per block, repeated for its events: equal to the bit to
+        # each event's own softmax
+        design = TestSharedBlocks.indicator_design(rng)
+        assert len(design.blk_event) < design.n_events / 2
+        beta = rng.normal(0, 0.4, size=design.p)
+        S = likelihood._log_weights(design, beta, design.static._x0 @ beta,
+                                    np.arange(design.n_events))
+        _, want = likelihood._inclusions(
+            np.exp(S - likelihood._top_shift(S, 1)[:, None]), 1, 1)
+        assert np.array_equal(selection_probabilities(design, beta), want)
+
+
 class TestSenderSnapshot:
     def test_normalization_identity(self, rng):
         # an independent decomposition of each event's selection law: the
@@ -597,3 +610,162 @@ class TestSenderSnapshot:
             pi = gamma * base
             pi[j] += delta_pi
             assert_allclose(pi, probs[m], rtol=1e-9, atol=1e-12)
+
+
+def force_path(monkeypatch, path):
+    """Designs prepared from here on keep the CSR of dX's non-zeros, and
+    their size-1 moments come from it ("sparse"), or they keep none and
+    the moments come from each unit's dense design ("dense")."""
+    monkeypatch.setattr("sendrate.design._SPARSE_BELOW",
+                        0.0 if path == "dense" else 2.0)
+
+
+@pytest.fixture(params=["dense", "sparse"])
+def path(request, monkeypatch):
+    force_path(monkeypatch, request.param)
+    return request.param
+
+
+def assert_matches_oracle(design, beta, variant="approx_multicast"):
+    fast = evaluate(design, beta, variant)
+    slow = dense_oracle(design, beta, variant)
+    assert_allclose(fast.logpl, slow.logpl, rtol=1e-11)
+    assert rel_diff(fast.score, slow.score) <= 1e-10
+    assert rel_diff(fast.info, slow.info) <= 1e-10
+    return fast
+
+
+class TestSingleLawPaths:
+    """Both paths of the size-1 moments, forced, on the designs whose rows
+    take each shape: shared blocks (rows gathered by index), subsets and
+    replicates (shallow copies), widened rows, events without a non-zero
+    and specs without dynamic columns."""
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_information_accuracy(self, seed, monkeypatch):
+        # centred dynamic rows and directly summed off-row mass: the
+        # sparse path is as accurate as the dense one
+        reps, err = {}, {}
+        for name in ("dense", "sparse"):
+            force_path(monkeypatch, name)
+            design, beta = accuracy_design(seed)
+            assert (design.nz_val is None) == (name == "dense")
+            if name == "dense":
+                slow = dense_oracle(design, beta, "approx_multicast")
+            reps[name] = evaluate(design, beta, "approx_multicast")
+            err[name] = rel_diff(reps[name].info, slow.info)
+            assert err[name] <= 1e-10
+            assert rel_diff(reps[name].score, slow.score) <= 1e-10
+        assert err["sparse"] <= 2 * err["dense"]
+        assert reps["sparse"].logpl == reps["dense"].logpl
+
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_chunks_match_one_chunk(self, rng, monkeypatch, shared, path):
+        if shared:
+            design = TestSharedBlocks.indicator_design(rng)
+            assert len(design.blk_event) < design.n_events / 2
+        else:
+            stream = random_stream(rng, actors=7, n=80, max_size=3,
+                                   gap=20 * MIN, traits=random_traits(rng, 7))
+            design = prepare(stream, rich_spec())
+            assert len(design.blk_event) == design.n_events
+        beta = rng.normal(0, 0.3, size=design.p)
+        whole = evaluate(design, beta, "approx_multicast")
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
+                            3 * 8 * design.actor_count * design.p)
+        parts = evaluate(design, beta, "approx_multicast")
+        assert parts.logpl == whole.logpl
+        assert rel_diff(parts.score, whole.score) <= 1e-12
+        assert rel_diff(parts.info, whole.info) <= 1e-12
+
+    @pytest.mark.parametrize("send", [0.7, -40.0, 800.0])
+    def test_shared_blocks_match_dense(self, rng, send, path):
+        design = TestSharedBlocks.indicator_design(rng)
+        beta = rng.normal(0, 0.4, size=design.p)
+        beta[design.column_indices(["send"])] = send
+        for variant in ("approx_multicast", "exact_multicast"):
+            fast = evaluate(design, beta, variant)
+            slow = dense_oracle(design, beta, variant)
+            assert_allclose(fast.logpl, slow.logpl, rtol=1e-11)
+            assert_allclose(fast.score, slow.score,
+                            rtol=1e-9, atol=1e-11 * abs(slow.logpl))
+            assert_allclose(fast.info, slow.info,
+                            rtol=1e-9, atol=1e-11 * abs(slow.logpl))
+
+    def test_subset_and_replicate(self, rng, path):
+        from sendrate.bootstrap import _replicate_design
+        from sendrate.esp import sample_fixed_size_rows
+        stream = random_stream(rng, actors=7, n=80, max_size=3, gap=20 * MIN,
+                               traits=random_traits(rng, 7))
+        design = prepare(stream, rich_spec())
+        beta = rng.normal(0, 0.3, size=design.p)
+        # every other column, in reverse: static and dynamic, renumbered
+        cols = np.arange(design.p)[::-2]
+        assert_matches_oracle(design.subset(cols), beta[cols])
+        recv = sample_fixed_size_rows(selection_probabilities(design, beta),
+                                      design.ev_size, np.random.default_rng(1))
+        assert_matches_oracle(_replicate_design(design, recv), beta)
+
+    def test_widened_rows(self, rng, path):
+        # the same entries held as float64 give the same report, bit for bit
+        stream = random_stream(rng, actors=7, n=80, max_size=3, gap=20 * MIN,
+                               traits=random_traits(rng, 7))
+        design = prepare(stream, rich_spec())
+        wide = design.copy_with(dX=design.dX.astype(np.float64))
+        if path == "sparse":
+            wide.nz_val = design.nz_val.astype(np.float64)
+        beta = rng.normal(0, 0.3, size=design.p)
+        for order in range(3):
+            got, want = (evaluate(d, beta, order=order) for d in (wide, design))
+            for a, b in zip(vars(got).values(), vars(want).values()):
+                assert np.array_equal(a, b)
+
+    def test_counts_past_int16(self, path):
+        # 0 reaches 2 over 200 x 200 two-paths: the replay widens the rows
+        spec = CovariateSpec(dyadic=[("send", "both")],
+                             triadic=[("2-send", "binned")],
+                             scheme=IntervalScheme([3600.0]))
+        events = [Event(float(t), 0, (1,)) for t in range(1, 201)]
+        events += [Event(float(t), 1, (2,)) for t in range(201, 401)]
+        events.append(Event(1000.0, 0, (3,)))
+        design = prepare(EventStream(events, 4), spec)
+        assert design.dX.dtype == np.float64
+        assert path == "dense" or design.nz_val.dtype == np.float64
+        beta = np.full(spec.dim, 0.1)
+        beta[-4:] = 1e-5
+        fast = evaluate(design, beta, "approx_multicast")
+        slow = dense_oracle(design, beta, "approx_multicast")
+        assert_allclose(fast.logpl, slow.logpl, rtol=1e-10)
+        assert_allclose(fast.score, slow.score, rtol=1e-10)
+        assert_allclose(fast.info, slow.info, rtol=1e-10)
+
+    def test_event_without_nonzeros(self, rng, path):
+        # a sender's first event has only its own row, which is zero
+        stream = random_stream(rng, actors=6, n=40, max_size=2, gap=20 * MIN)
+        design = prepare(stream, basic_spec())
+        per_event = np.add.reduceat(np.count_nonzero(design.dX, axis=1),
+                                    design.row_start[:-1])
+        assert (per_event == 0).any() and (per_event > 0).any()
+        assert_matches_oracle(design, rng.normal(0, 0.4, size=design.p))
+
+    def test_static_only_spec(self, rng, path):
+        traits = random_traits(rng, 7)
+        stream = random_stream(rng, actors=7, n=60, max_size=3, gap=20 * MIN,
+                               traits=traits)
+        design = prepare(stream, CovariateSpec(static_terms=["1*a", "b*a",
+                                                             "a*b"]))
+        assert not design.dX.any()
+        assert_matches_oracle(design, rng.normal(0, 0.4, size=design.p))
+
+    def test_scratch_bounded_by_chunk(self, monkeypatch):
+        force_path(monkeypatch, "sparse")
+        design, beta = accuracy_design(1)
+        monkeypatch.setattr(likelihood, "_CHUNK_BYTES",
+                            16 * 8 * design.actor_count * design.p)
+        tracemalloc.start()
+        try:
+            evaluate(design, beta, "approx_multicast", order=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < design.dX.nbytes / 2

@@ -121,6 +121,36 @@ class TestFit:
         assert not res.converged and res.iterations == 1
         assert len(res.logpl_trace) == 1 and not res.beta.any()
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rounding_noise_keeps_iterations(self, seed, monkeypatch):
+        # at a score tolerance below logpl's rounding floor the last steps
+        # predict gains of a few ulp; shifting every candidate's logpl by
+        # +-2 ulp must neither add halvings nor end the search
+        rng = np.random.default_rng(seed)
+        stream = random_stream(rng, actors=8, n=400, max_size=3,
+                               gap=20 * MIN, traits=random_traits(rng, 8))
+        spec = CovariateSpec(static_terms=["1*a", "b*a"],
+                             dyadic=[("send", "both"), ("receive", "both")],
+                             triadic=[("2-send", "both"),
+                                      ("sibling", "indicator")],
+                             scheme=IntervalScheme([30 * MIN, 120 * MIN]))
+        design = prepare(stream, spec)
+        config = SolverConfig(grad_tol=1e-13)
+        base = fit(design, "approx_multicast", config)
+        assert base.stop_reason == "converged"
+        evaluate_all = likelihood.evaluate
+        for ulps in (2, -2):
+            def shifted(design, beta, variant, order=2, ulps=ulps):
+                rep = evaluate_all(design, beta, variant, order)
+                if order == 0:
+                    rep.logpl += ulps * np.spacing(abs(rep.logpl))
+                return rep
+            monkeypatch.setattr(likelihood, "evaluate", shifted)
+            res = fit(design, "approx_multicast", config)
+            assert res.stop_reason == "converged"
+            assert res.iterations == base.iterations
+            assert_allclose(res.beta, base.beta, rtol=0, atol=1e-9)
+
     def test_json_roundtrip(self, tmp_path, rng):
         stream = random_stream(rng, actors=6, n=80, gap=20 * MIN)
         design = prepare(stream, spec_small())
@@ -145,6 +175,9 @@ class TestInvariance:
         out = design.subset(np.arange(design.p))
         out.dX = design.dX.astype(np.float64)
         out.dX[:, col] *= a
+        if out.nz_val is not None:
+            out.nz_val = np.where(out.nz_columns[out.nz_col] == col, a, 1.0) \
+                * out.nz_val
         out.xsum = design.xsum.copy()
         out.xsum[:, col] = a * design.xsum[:, col] + b * design.ev_size
         out.xtot = out.xsum.sum(axis=0)
