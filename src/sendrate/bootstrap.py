@@ -97,7 +97,7 @@ def _replicate_design(design, recv_j):
     return design.copy_with(recv_j=recv_j, xsum=design.xsum_of(recv_j))
 
 
-def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
+def bootstrap_bias(design, fit_result=None, config=None):
     """Estimate and subtract the duplication-approximation bias.
 
     Fits the duplication likelihood if no fit is supplied, draws R replicate
@@ -106,7 +106,7 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
     Deterministic for a fixed seed and configuration.
     """
     config = config or BootstrapConfig()
-    solver_config = solver_config or solver.SolverConfig(max_iters=_REFIT_MAX_ITERS)
+    refit = solver.SolverConfig(max_iters=_REFIT_MAX_ITERS)
     if fit_result is None:
         fit_result = solver.fit(design, "approx_multicast")
     beta = fit_result.beta
@@ -122,7 +122,7 @@ def bootstrap_bias(design, fit_result=None, config=None, solver_config=None):
         start = replace(rep, logpl=rep.logpl + float(delta @ beta),
                         score=rep.score + delta)
         try:
-            res = solver._newton(rep_design, "approx_multicast", solver_config,
+            res = solver._newton(rep_design, "approx_multicast", refit,
                                  beta, start)
             reason = None if res.converged else res.stop_reason
         except StreamError as exc:

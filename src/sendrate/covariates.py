@@ -10,6 +10,7 @@ shares a middle actor, and the state tracks that support explicitly.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -40,9 +41,9 @@ class IntervalScheme:
         except (TypeError, ValueError):
             raise StreamError(
                 f"boundaries must be numbers, got {boundaries!r}") from None
-        if not b or any(x <= 0 for x in b) or any(
+        if not b or not all(0 < x < math.inf for x in b) or any(
                 y <= x for x, y in zip(b, b[1:])):
-            raise StreamError("boundaries must be positive and increasing")
+            raise StreamError("boundaries must be finite, positive, increasing")
         self.boundaries = tuple(b)
 
     @property
@@ -124,8 +125,11 @@ class CovariateSpec:
             for d in entries:
                 require_keys(d, ("effect",), "covariate spec entry")
             return [(d["effect"], d.get("form", "indicator")) for d in entries]
-        scheme = IntervalScheme(obj["intervals_seconds"]) \
-            if obj.get("intervals_seconds") else IntervalScheme()
+        try:
+            scheme = IntervalScheme(obj.get("intervals_seconds")
+                                    or DEFAULT_BOUNDARIES)
+        except StreamError as exc:
+            raise StreamError(f"intervals_seconds: {exc}") from None
         return cls(static_terms=obj.get("static", ()),
                    dyadic=pairs(obj.get("dyadic", ())),
                    triadic=pairs(obj.get("triadic", ())),

@@ -70,8 +70,10 @@ class PreparedDesign:
     with an entry above 32,767 widens the rows once to float64.  Readers
     accept any numeric dX and upcast a chunk of rows at a time.  The CSR
     holds the same entries, for readers whose cost should follow the
-    non-zeros (the single-receiver moments, see ``likelihood``); a design
-    that replaces dX replaces it too.
+    non-zeros (the single-receiver moments, see ``likelihood``);
+    ``copy_with`` rebuilds it from a new dX.  Only this module reads these
+    arrays: others take a chunk's rows through ``chunk_rows`` and
+    ``chunk_nonzeros``.
     """
 
     def __init__(self, spec, static, stream, policy):
@@ -150,7 +152,7 @@ class PreparedDesign:
         self.dX = dX
         self.nz_columns = np.arange(spec.static_dim, p)
         self.nz_start, self.nz_col, self.nz_val = _nonzeros(
-            dX, spec.static_dim)
+            dX, self.nz_columns)
         self.xsum = self.xsum_of(recv_j)
         self.xtot = self.xsum.sum(axis=0)
 
@@ -167,7 +169,7 @@ class PreparedDesign:
         return self.row_j[s:e], self.dX[s:e], self.row_inrisk[s:e]
 
     def dense_x(self, m):
-        """Full (A, p) design matrix for event m (oracle/exact paths)."""
+        """Full (A, p) design matrix for event m (dense oracle, checks)."""
         x = self.static.x0(self.ev_class[m]).copy()
         js, dx, _ = self.event_rows(m)
         x[js] += dx
@@ -179,14 +181,37 @@ class PreparedDesign:
         mask[js[~inrisk]] = False
         return mask
 
+    @property
+    def keeps_nonzeros(self):
+        """Whether the design keeps the CSR of dX's non-zeros."""
+        return self.nz_val is not None
+
+    def chunk_rows(self, events):
+        """A chunk of distinct events' sparse rows: their positions k * A + j
+        in the (len(events), A) grid of the events' receivers, their
+        dynamic rows (a view of dX when adjacent) and eligibility flags."""
+        rows, flat = self._grid(events)
+        return flat, self.dX[rows], self.row_inrisk[rows]
+
+    def chunk_nonzeros(self, events):
+        """The grid positions of ``chunk_rows`` and, row by row, their
+        non-zeros: each one's row among them, its position in ``nz_columns``
+        and its float64 value.  Only where the design ``keeps_nonzeros``."""
+        rows, flat = self._grid(events)
+        ent, row = _ranges(self.nz_start[:-1][rows], self.nz_start[1:][rows])
+        return flat, row, self.nz_col[ent], self.nz_val[ent].astype(float)
+
+    def _grid(self, events):
+        rows, k = _ranges(self.row_start[events], self.row_start[events + 1])
+        return rows, k * self.actor_count + self.row_j[rows]
+
     def xsum_of(self, recv_j):
         """Design-row sums over receiver ids laid out as ``recv_j``.  Entries
         are integers (counts, flags, products): any summing order is exact."""
         n, A = self.n_events, self.actor_count
         ev = np.repeat(np.arange(n), np.diff(self.recv_start))
         # sorted, as row_j is within each event; the last entry is past all
-        key = np.append(np.repeat(np.arange(n), np.diff(self.row_start)) * A
-                        + self.row_j, n * A)
+        key = np.append(self._grid(np.arange(n))[1], n * A)
         pos = np.searchsorted(key, ev * A + recv_j)
         hit = key[pos] == ev * A + recv_j
         rows = self.static._x0[self.ev_class[ev], recv_j]
@@ -198,34 +223,23 @@ class PreparedDesign:
         cols = np.asarray(cols, dtype=np.intp)
         static = copy.copy(self.static)
         static._x0 = np.ascontiguousarray(self.static._x0[:, :, cols])
-        # the non-zeros in kept columns, renumbered; rows keep their order
-        at = np.full(self.p, -1)
-        at[cols] = np.arange(len(cols))
-        at = at[self.nz_columns]        # each stored column's new id, or -1
-        stored = at >= 0
-        nz = {"nz_start": None, "nz_col": None, "nz_val": None}
-        if self.nz_val is not None:
-            kept = stored[self.nz_col]
-            if kept.sum() < _SPARSE_BELOW * len(self.dX) * len(cols):
-                starts = np.zeros(len(kept) + 1, dtype=self.nz_start.dtype)
-                np.cumsum(kept, out=starts[1:])
-                position = np.cumsum(stored) - 1
-                nz = {"nz_start": starts[self.nz_start],
-                      "nz_col": position[self.nz_col[kept]].astype(
-                          _col_dtype(stored.sum())),
-                      "nz_val": self.nz_val[kept]}
         return self.copy_with(static=static, p=len(cols),
                               term_names=[self.term_names[c] for c in cols],
                               xsum=self.xsum[:, cols], dX=self.dX[:, cols],
-                              nz_columns=at[stored], **nz)
+                              nz_columns=np.flatnonzero(
+                                  np.isin(cols, self.nz_columns)))
 
     def copy_with(self, **fields):
         """Shallow copy with the given attributes replaced; a new ``xsum``
-        brings its column totals."""
+        brings its column totals, and a new ``dX`` the CSR of its non-zeros
+        when this design keeps one."""
         out = copy.copy(self)
         out.__dict__.update(fields)
         if "xsum" in fields:
             out.xtot = out.xsum.sum(axis=0)
+        if "dX" in fields and self.keeps_nonzeros:
+            out.nz_start, out.nz_col, out.nz_val = _nonzeros(out.dX,
+                                                             out.nz_columns)
         return out
 
     def column_indices(self, names):
@@ -246,31 +260,29 @@ class PreparedDesign:
 _SPARSE_BELOW = 0.1
 
 
-def _col_dtype(k):
-    """The smallest unsigned dtype that holds positions among k columns."""
-    return np.min_scalar_type(max(k - 1, 0))
-
-
-def _nonzeros(dX, first):
-    """CSR of the non-zeros of dX's columns first to p - 1, the ones that
-    can hold any: row offsets, column positions counted from ``first``
-    (``_col_dtype``) and values in dX's dtype; Nones unless the non-zeros
+def _nonzeros(dX, columns):
+    """CSR of the non-zeros of dX's ``columns``, the ones that can hold any
+    (``nz_columns``): row offsets, positions in ``columns`` in the smallest
+    unsigned dtype, and values in dX's dtype; Nones unless the non-zeros
     are under ``_SPARSE_BELOW`` of dX's entries.  It reads about 1 MB of
-    rows, or rows holding about 64k non-zeros if fewer, at a time into
-    arrays of their final size, so its int64 scratch stays near 1.5 MB."""
-    dyn = dX[:, first:]
-    R, q = dyn.shape
-    nnz = int(np.count_nonzero(dyn))
+    rows, or rows holding about 64k non-zeros if fewer, at a time (a view
+    where the columns are adjacent, as a prepared design's are) into arrays
+    of their final size, so its int64 scratch stays near 1.5 MB."""
+    R, q = len(dX), len(columns)
+    if q and np.array_equal(columns, np.arange(columns[0], columns[0] + q)):
+        columns = slice(columns[0], columns[0] + q)
+    block = max(1, (1 << 20) // max(1, dX.shape[1]))
+    nnz = sum(int(np.count_nonzero(dX[lo:lo + block][:, columns]))
+              for lo in range(0, R, block))
     if nnz >= _SPARSE_BELOW * dX.size:
         return None, None, None
     start = np.zeros(R + 1, dtype=np.int32 if nnz < 2 ** 31 else np.int64)
-    col = np.empty(nnz, dtype=_col_dtype(q))
+    col = np.empty(nnz, dtype=np.min_scalar_type(max(q - 1, 0)))
     val = np.empty(nnz, dtype=dX.dtype)
-    step = max(1, min((1 << 20) // max(1, dX.shape[1]),
-                      (R << 16) // max(1, nnz)))
+    step = max(1, min(block, (R << 16) // max(1, nnz)))
     at = 0
     for lo in range(0, R, step):
-        rows = dyn[lo:lo + step]
+        rows = dX[lo:lo + step][:, columns]
         row, c = np.divmod(np.flatnonzero(rows != 0), q)
         col[at:at + len(c)] = c
         val[at:at + len(c)] = rows[row, c]
@@ -278,6 +290,18 @@ def _nonzeros(dX, first):
                                                        minlength=len(rows))
         at += len(c)
     return np.cumsum(start, out=start), col, val
+
+
+def _ranges(start, stop):
+    """The concatenated index ranges [start_k, stop_k), as a slice when
+    each begins where the previous one ends and as indices otherwise, and
+    the k each index comes from."""
+    counts = stop - start
+    owner = np.repeat(np.arange(len(start)), counts)
+    if len(start) and (start[1:] == stop[:-1]).all():
+        return slice(start[0], stop[-1]), owner
+    skip = (start - np.cumsum(counts) + counts)[owner]
+    return skip + np.arange(len(owner)), owner
 
 
 def prepare(stream, spec, traits=None, policy=None):

@@ -64,14 +64,11 @@ def residuals(counts):
     observed counts against zero expectation are reported as anomalies.
     """
     N, Nhat = counts.observed, counts.expected
-    A = counts.actor_count
     martingale = N - Nhat
     with np.errstate(divide="ignore", invalid="ignore"):
         pearson = martingale / np.sqrt(Nhat)
     defined = Nhat > 0
     pearson[~defined] = np.nan
-    empty = (~defined) & (N == 0)
-    pearson[empty] = np.nan
     anomalies = [(int(i), int(j)) for i, j in zip(*np.nonzero((~defined) & (N > 0)))]
     x2 = float(np.nansum(pearson[defined] ** 2))
     return ResidualReport(pearson=pearson, martingale=martingale, x2=x2,

@@ -9,6 +9,7 @@ construction is immutable.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -188,8 +189,27 @@ class IngestReport:
     id_map: dict = field(default_factory=dict)
 
 
-def _parse_receivers_csv(cell):
-    return [tok for tok in cell.strip().strip('"').split(";") if tok]
+def _csv_row(line):
+    """(time, sender, receivers) of a CSV row; receivers are ';'-separated."""
+    parts = line.split(",", 2)
+    if len(parts) != 3:
+        raise ValueError("expected 3 fields")
+    recv = [tok for tok in parts[2].strip().strip('"').split(";") if tok]
+    return float(parts[0]), int(parts[1]), [int(r) for r in recv]
+
+
+def _json_row(line):
+    """(time, sender, receivers) of a JSONL record, refusing a field that is
+    not a number, an integer and an array of integers in turn."""
+    obj = json.loads(line)
+    t, i, recv = obj["time"], obj["sender"], obj["receivers"]
+    ints = lambda values: all(type(v) is int for v in values)  # not bool
+    for name, ok in (("time", ints([t]) or type(t) is float),
+                     ("sender", ints([i])),
+                     ("receivers", type(recv) is list and ints(recv))):
+        if not ok:
+            raise ValueError(f"{name}: mistyped value {obj[name]!r}")
+    return float(t), i, recv
 
 
 def ingest_events(path, format="csv", cutoff=DEFAULT_RECIPIENT_CUTOFF,
@@ -204,42 +224,26 @@ def ingest_events(path, format="csv", cutoff=DEFAULT_RECIPIENT_CUTOFF,
     rows = []
     with open(path) as fh:
         if format == "csv":
-            header = fh.readline()
-            if not header.lower().startswith("time"):
+            if not fh.readline().lower().startswith("time"):
                 raise MalformedRowError(1, "expected header time,sender,receivers")
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",", 2)
-                if len(parts) != 3:
-                    raise MalformedRowError(lineno, "expected 3 fields")
-                try:
-                    t = float(parts[0])
-                    sender = int(parts[1])
-                    recv = [int(r) for r in _parse_receivers_csv(parts[2])]
-                except ValueError as exc:
-                    raise MalformedRowError(lineno, str(exc)) from None
-                rows.append((lineno, t, sender, recv))
+            parse, first = _csv_row, 2
         elif format == "jsonl":
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    obj = json.loads(line)
-                    t = float(obj["time"])
-                    sender = int(obj["sender"])
-                    recv = [int(r) for r in obj["receivers"]]
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise MalformedRowError(lineno, str(exc)) from None
-                rows.append((lineno, t, sender, recv))
+            parse, first = _json_row, 1
         else:
             raise StreamError(f"unknown format {format!r}")
+        for lineno, line in enumerate(fh, start=first):
+            if not line.strip():
+                continue
+            try:
+                rows.append((lineno, *parse(line.strip())))
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise MalformedRowError(lineno, str(exc)) from None
 
     report = IngestReport(total_rows=len(rows))
     kept = []
     for lineno, t, sender, recv in rows:
+        if not math.isfinite(t):
+            raise MalformedRowError(lineno, f"time {t!r} is not finite")
         if not recv:
             raise MalformedRowError(lineno, "empty receiver set")
         if len(set(recv)) > cutoff:

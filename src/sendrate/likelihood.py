@@ -17,8 +17,10 @@ per (block, size) pair, counted per event.  A unit's weights are shifted so
 that its heaviest size-L subset weighs 1 (1 <= e_L <= C(A, L)), and its
 inclusion probabilities give the moments.  Units are evaluated a chunk of
 one size at a time, so scratch memory is bounded by the chunk, not by the
-number of rows.  A dense per-event oracle is kept alongside for
-verification.
+number of rows.  A chunk's sparse rows and their non-zeros come from the
+design's readers (``PreparedDesign.chunk_rows`` and ``chunk_nonzeros``);
+only ``design`` knows how the rows are stored.  A dense per-event oracle
+is kept alongside for verification.
 
 logpl always comes from the same steps (``_log_weights``, the shift, e_L).
 The moments take one of two paths.  The dense one assembles each unit's
@@ -26,7 +28,7 @@ The moments take one of two paths.  The dense one assembles each unit's
 rows, and centres it on the unit's mean: at L = 1 the information is a sum
 of squares of sqrt(count pi)-weighted centred rows, at L > 1 it is X'(Q -
 pi pi')X.  The sparse one serves L = 1 units of designs whose dX is mostly
-zero, which keep the CSR of its non-zeros (``design._SPARSE_BELOW`` gives
+zero, which keep an index of its non-zeros (``design._SPARSE_BELOW`` gives
 the rule and its measured crossover): a row splits into a static part
 shared by every sender of a class and a dynamic part that is zero off the
 unit's sparse rows, and ``_SingleLaw`` sums the three blocks of the
@@ -62,32 +64,11 @@ class LikelihoodReport:
 # ---------------------------------------------------------------------------
 # risk-set weights and dense designs
 
-def _ranges(start, stop):
-    """The concatenated index ranges [start_k, stop_k), as a slice when
-    each begins where the previous one ends and as indices otherwise, and
-    the k each index comes from."""
-    counts = stop - start
-    owner = np.repeat(np.arange(len(start)), counts)
-    if len(start) and (start[1:] == stop[:-1]).all():
-        return slice(start[0], stop[-1]), owner
-    skip = (start - np.cumsum(counts) + counts)[owner]
-    return skip + np.arange(len(owner)), owner
-
-
-def _event_rows(design, events):
-    """The given events' sparse rows, as a slice when the events' rows are
-    adjacent (a view of ``dX``) and as indices otherwise, and the position
-    in ``events`` of the event each row belongs to."""
-    return _ranges(design.row_start[events], design.row_start[events + 1])
-
-
 def _dense_design(design, events):
     """(events, A, p) full design matrices of the given events."""
-    rows, local = _event_rows(design, events)
-    A = design.actor_count
+    flat, dx, _ = design.chunk_rows(events)
     X = design.static._x0[design.ev_class[events]]
-    flat = local * A + design.row_j[rows]
-    X.reshape(len(events) * A, design.p)[flat] += design.dX[rows]
+    X.reshape(len(events) * design.actor_count, design.p)[flat] += dx
     return X
 
 
@@ -97,11 +78,10 @@ def _log_weights(design, beta, x0b, events):
     (one product per evaluation).  The events' rows are cast to float64
     whole (callers pass a chunk of events), all columns in their memory
     order, so BLAS sums them as it would a float64 store."""
-    rows, local = _event_rows(design, events)
+    flat, dx, inrisk = design.chunk_rows(events)
     S = x0b[design.ev_class[events]]
-    flat = local * design.actor_count + design.row_j[rows]
-    S.ravel()[flat] += design.dX[rows].astype(np.float64) @ beta
-    S.ravel()[flat[~design.row_inrisk[rows]]] = -np.inf
+    S.ravel()[flat] += dx.astype(np.float64) @ beta
+    S.ravel()[flat[~inrisk]] = -np.inf
     return S
 
 
@@ -200,7 +180,7 @@ def _eval_units(design, beta, order, units):
     x0b = design.static._x0 @ beta
     norm, mean, M = 0.0, np.zeros(p), np.zeros((p, p))
     single = (_SingleLaw(design, order) if order > 0
-              and design.nz_val is not None
+              and design.keeps_nonzeros
               and any(L == 1 for L, *_ in units) else None)
     for L, first, count in units:
         logW = np.empty(len(first))
@@ -287,18 +267,12 @@ class _SingleLaw:
         counts c; return their means E (n, p)."""
         d, n = self.design, len(events)
         A, p = d.actor_count, d.p
-        rows, local = _event_rows(d, events)
-        if isinstance(rows, slice):
-            rows = np.arange(rows.start, rows.stop)
-        start, stop = d.nz_start[rows], d.nz_start[rows + 1]
-        nnz = stop - start
-        ent, owner = _ranges(start, stop)       # the rows' non-zeros
-        at = d.nz_col[ent]                      # position in nz_columns
-        col, val = d.nz_columns[at], d.nz_val[ent].astype(np.float64)
-        rj = d.row_j[rows]
-        pi_d = pi[local, rj][owner] * val       # pi_r d_r, per entry
+        flat, row, at, val = d.chunk_nonzeros(events)
+        local, rj = np.divmod(flat, A)          # per row: event, receiver
+        col = d.nz_columns[at]
+        pi_d = pi.ravel()[flat][row] * val      # pi_r d_r, per entry
         E = np.zeros(n * p)     # (a bincount of no entries would be int)
-        E += np.bincount(local[owner] * p + col, weights=pi_d,
+        E += np.bincount(local[row] * p + col, weights=pi_d,
                          minlength=n * p)
         E = E.reshape(n, p)     # Ed, until E0 joins it
         cls = d.ev_class[events]
@@ -313,22 +287,23 @@ class _SingleLaw:
             act = np.flatnonzero(active)
             Ed = E[:, act]
             # the rows with a non-zero, centred, over the active columns
+            nnz = np.bincount(row, minlength=len(flat))
             nzr = np.flatnonzero(nnz)
             D = np.zeros((len(nzr), len(act)))
             D[np.repeat(np.arange(len(nzr)), nnz[nzr]),
               (np.cumsum(active) - 1)[col]] = val
             D -= Ed[local[nzr]]
-            D *= np.sqrt(count[local[nzr]] * pi[local[nzr], rj[nzr]])[:, None]
+            D *= np.sqrt(count[local[nzr]] * pi.ravel()[flat[nzr]])[:, None]
             off = pi.copy()
-            off[local[nzr], rj[nzr]] = 0.0
+            off.ravel()[flat[nzr]] = 0.0
             mass = count * off.sum(axis=1)
             self.M[np.ix_(act, act)] += D.T @ D + Ed.T @ (mass[:, None] * Ed)
             cE0 = count[:, None] * E0
             self.static -= cE0.T @ E0
             self.cross[:, act] -= cE0.T @ Ed
-            pair = (cls[local] * A + rj)[owner]     # (class, receiver)
+            pair = (cls[local] * A + rj)[row]       # (class, receiver)
             np.add.at(self.H.reshape(-1), pair * self.H.shape[1] + at,
-                      count[local][owner] * pi_d)
+                      count[local][row] * pi_d)
         E[:, self.s] += E0
         return E
 

@@ -43,6 +43,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_events is None and self.horizon is None:
             raise StreamError("need a target event count or a horizon")
+        if self.horizon is not None and not math.isfinite(self.horizon):
+            raise StreamError(f"horizon must be finite, got {self.horizon!r}")
         sizes = sorted(self.size_weights)
         if not sizes or sizes[0] < 1:
             raise StreamError("set sizes must be positive")

@@ -31,19 +31,19 @@ _SHRINK = 0.5                   # line-search step factor
 _SUFFICIENT_INCREASE = 1e-4     # share of the predicted gain a step must earn
 _RIDGE_INIT, _RIDGE_MAX = 1e-8, 1e-2    # relative to the largest |info| entry
 _FLOOR_ULPS = 4                 # logpl differences this many ulp apart are noise
+_GRAD_TOL = 1e-8                # score sup-norm per selection decision at a stop
 
 
 @dataclass
 class SolverConfig:
-    """Newton's stopping rule: the score's sup-norm at most ``grad_tol``
+    """Newton's stopping rule: the score's sup-norm at most ``_GRAD_TOL``
     times the selection-decision count, within ``max_iters`` steps."""
 
-    grad_tol: float = 1e-8
     max_iters: int = 100
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iters <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.max_iters <= 0:
+            raise ValueError("max_iters must be positive")
 
 
 @dataclass
@@ -156,7 +156,7 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
 
     Every accepted step increases the objective up to its rounding floor
     (backtracking line search); convergence is declared when the score
-    sup-norm falls below grad_tol * max(1, selection decisions).
+    sup-norm falls below _GRAD_TOL * max(1, selection decisions).
     """
     config = config or SolverConfig()
     if design.p < 1:
@@ -169,7 +169,7 @@ def fit(design, variant="approx_multicast", config=None, beta0=None):
 def _newton(design, variant, config, beta, rep):
     """Damped Newton from beta, where rep is the order-2 report at beta."""
     p = design.p
-    scale = config.grad_tol * max(1.0, design.n_decisions)
+    scale = _GRAD_TOL * max(1.0, design.n_decisions)
     trace = [rep.logpl]
     converged = gave_up = False
     iterations = 0
@@ -213,11 +213,10 @@ def _newton(design, variant, config, beta, rep):
     unident = [design.term_names[k] for k in range(p) if diag[k] <= flag_tol]
     try:
         cov = np.linalg.inv(info)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(info)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
         unident = unident or list(design.term_names)
+    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
 
     n_dec = design.n_decisions
     df = n_dec - p
@@ -289,9 +288,7 @@ def deviance_table(design, term_groups, variant="approx_multicast",
     starts from the previous one's estimate, with the new terms at 0.
     """
     config = config or SolverConfig()
-    seen = []
-    for _, terms in term_groups:
-        seen += list(terms)
+    seen = [t for _, terms in term_groups for t in terms]
     if sorted(seen) != sorted(design.term_names):
         raise StreamError("term groups must partition the design terms")
 
@@ -299,16 +296,12 @@ def deviance_table(design, term_groups, variant="approx_multicast",
     resid_df = design.n_decisions
     resid_dev = -2.0 * null_rep.logpl
     rows = [DevianceRow("Null", None, None, resid_df, resid_dev)]
-    cols = []
-    beta_prev = None
+    cols, beta = [], np.zeros(0)
     for name, terms in term_groups:
         cols += design.column_indices(terms)
-        sub = design.subset(cols)
-        beta0 = None
-        if beta_prev is not None:
-            beta0 = np.concatenate([beta_prev, np.zeros(len(terms))])
-        res = fit(sub, variant, config, beta0=beta0)
-        beta_prev = res.beta
+        res = fit(design.subset(cols), variant, config,
+                  beta0=np.r_[beta, np.zeros(len(terms))])
+        beta = res.beta
         dev = -2.0 * res.logpl
         rows.append(DevianceRow(name, len(terms), resid_dev - dev,
                                 resid_df - len(cols), dev))

@@ -198,8 +198,8 @@ class TestBootstrapBias:
             calls.append(args)
             return draw(*args) if len(calls) % 2 == 0 else design.recv_j.copy()
         monkeypatch.setattr(esp, "sample_fixed_size_rows", redraw_odd_replicates)
-        report = bootstrap_bias(design, res, BootstrapConfig(replicates=8, seed=1),
-                                solver_config=SolverConfig(max_iters=1))
+        monkeypatch.setattr("sendrate.bootstrap._REFIT_MAX_ITERS", 1)
+        report = bootstrap_bias(design, res, BootstrapConfig(replicates=8, seed=1))
         assert not {e["replicate"] for e in report.skip_reasons} & {0, 2, 4, 6}
         assert 0 < report.skipped < 8
         assert len(report.replicate_estimates) == 8 - report.skipped
@@ -207,13 +207,13 @@ class TestBootstrapBias:
             ["max_iters"] * report.skipped
         assert report.to_json()["skip_reasons"] == report.skip_reasons
 
-    def test_every_replicate_skipped_raises(self):
+    def test_every_replicate_skipped_raises(self, monkeypatch):
         # with one Newton step no refit converges on this stream
         design = simulated_design(n=300, sizes={1: 1.0, 2: 0.5, 3: 0.2})
         res = fit(design, "approx_multicast")
+        monkeypatch.setattr("sendrate.bootstrap._REFIT_MAX_ITERS", 1)
         with pytest.raises(StreamError, match="every bootstrap replicate"):
-            bootstrap_bias(design, res, BootstrapConfig(replicates=4, seed=0),
-                           solver_config=SolverConfig(max_iters=1))
+            bootstrap_bias(design, res, BootstrapConfig(replicates=4, seed=0))
 
     def test_fits_first_without_a_fit(self):
         design = simulated_design(n=200, sizes={1: 1.0, 2: 0.2})

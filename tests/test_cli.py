@@ -182,6 +182,45 @@ class TestExitCodes:
         (workdir / "bad_sim.json").write_text(json.dumps(sim))
         assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
 
+    @pytest.mark.parametrize("time", ["nan", "inf"])
+    def test_nonfinite_event_time_is_1(self, workdir, capsys, time):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        lines = open("e.csv").read().splitlines()
+        lines.insert(3, f"{time},1,0")
+        (workdir / "bad.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run("fit", "--events", "bad.csv", "--spec", "spec.json",
+                   "--out", "fit.json") == 1
+        assert "line 4: time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("receivers", '"12"'),
+                                              ("sender", "1.7")])
+    def test_mistyped_jsonl_field_is_1(self, workdir, capsys, field, value):
+        row = {"time": "5.0", "sender": "0", "receivers": "[1, 2]"}
+        row[field] = value
+        (workdir / "bad.jsonl").write_text(
+            '{"time": 1.0, "sender": 2, "receivers": [0]}\n{'
+            + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
+        assert run("fit", "--events", "bad.jsonl", "--format", "jsonl",
+                   "--spec", "spec.json", "--out", "fit.json") == 1
+        assert f"line 2: {field}" in capsys.readouterr().err
+
+    def test_nonfinite_interval_is_1(self, workdir, capsys):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        spec = dict(SIM_CONFIG["covariates"], intervals_seconds=[float("nan")])
+        (workdir / "bad_spec.json").write_text(json.dumps(spec))
+        capsys.readouterr()
+        assert run("fit", "--events", "e.csv", "--spec", "bad_spec.json",
+                   "--out", "fit.json") == 1
+        assert "intervals_seconds" in capsys.readouterr().err
+
+    def test_nonfinite_horizon_is_1(self, workdir, capsys):
+        # with no event target such a horizon never ends the simulation
+        (workdir / "bad_sim.json").write_text(
+            json.dumps(dict(SIM_CONFIG, horizon=float("nan"))))
+        assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
+        assert "horizon" in capsys.readouterr().err
+
     def test_fit_file_without_field_is_1(self, workdir):
         run("simulate", "--config", "sim.json", "--out", "e.csv")
         (workdir / "bad_fit.json").write_text(json.dumps({"beta": [0.0, 0.0]}))

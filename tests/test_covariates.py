@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,6 +52,16 @@ class TestIntervalScheme:
             IntervalScheme([10.0, 10.0])
         with pytest.raises(StreamError):
             IntervalScheme([-1.0, 5.0])
+
+    @pytest.mark.parametrize("bounds", [[float("nan")], [600.0, math.inf],
+                                        [600.0, float("nan"), 900.0]])
+    def test_nonfinite_boundaries_refused(self, bounds):
+        with pytest.raises(StreamError, match="finite"):
+            IntervalScheme(bounds)
+        spec = {"dyadic": [{"effect": "send", "form": "binned"}],
+                "intervals_seconds": bounds}
+        with pytest.raises(StreamError, match="intervals_seconds"):
+            CovariateSpec.from_json(json.loads(json.dumps(spec)))
 
     def test_bin_counts_strict_past(self):
         spec = CovariateSpec(dyadic=[("send", "binned")],
@@ -413,6 +426,72 @@ class TestPreparedRows:
         order = np.argsort(counts)
         assert design.subset(order[len(order) // 2:]).nz_val is None
         assert design.subset(order[:len(order) // 2]).nz_val is not None
+
+
+class TestOneIndexBuilder:
+    """Copies with new rows and subsets get the index of their own rows,
+    built afresh."""
+
+    @staticmethod
+    def design(rng):
+        traits = random_traits(rng, 6)
+        spec = CovariateSpec(static_terms=["1*a", "b*b"],
+                             dyadic=[("send", "both"), ("receive", "both")],
+                             triadic=[("2-send", "both"),
+                                      ("sibling", "binned")],
+                             scheme=IntervalScheme([30 * MIN, 2 * HOUR]))
+        stream = random_stream(rng, actors=6, n=150, max_size=3,
+                               gap=10 * MIN, traits=traits)
+        return prepare(stream, spec)
+
+    @staticmethod
+    def assert_fresh_index(d):
+        # row by row, in nz_columns' order, as np.nonzero lists them
+        rows, at = np.nonzero(d.dX[:, d.nz_columns])
+        start = np.r_[0, np.cumsum(np.bincount(rows, minlength=len(d.dX)))]
+        assert d.nz_start.dtype == np.int32
+        assert np.array_equal(d.nz_start, start)
+        assert d.nz_col.dtype == np.min_scalar_type(len(d.nz_columns) - 1)
+        assert np.array_equal(d.nz_col, at)
+        assert d.nz_val.dtype == d.dX.dtype
+        assert np.array_equal(d.nz_val, d.dX[rows, d.nz_columns[at]])
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.float64])
+    def test_copy_with_rows_rebuilds(self, rng, monkeypatch, dtype):
+        monkeypatch.setattr("sendrate.design._SPARSE_BELOW", 2.0)
+        design = self.design(rng)
+        dX = design.dX.astype(dtype)
+        dX[::3] = 0
+        dX[1::3] *= 3
+        copy = design.copy_with(dX=dX)
+        self.assert_fresh_index(copy)
+        assert copy.nz_val.dtype == dtype
+        assert len(copy.nz_val) < len(design.nz_val)
+        self.assert_fresh_index(design)     # the original keeps its own
+
+    def test_subset_rebuilds(self, rng, monkeypatch):
+        monkeypatch.setattr("sendrate.design._SPARSE_BELOW", 2.0)
+        design = self.design(rng)
+        # reversed, then the other half interleaved back: static and
+        # dynamic columns mixed, out of order
+        back = np.arange(design.p)[::-1]
+        cols = np.r_[back[::2], back[1::2]]
+        sub = design.subset(cols)
+        dynamic = cols >= design.spec.static_dim
+        assert np.array_equal(np.sort(sub.nz_columns), np.flatnonzero(dynamic))
+        self.assert_fresh_index(sub)
+
+    def test_subset_of_design_without_index_has_none(self, rng):
+        design = self.design(rng)
+        assert design.nz_val is None
+        # the static columns and the sparsest dynamic one would pass the
+        # share on their own
+        counts = np.count_nonzero(design.dX, axis=0)
+        static = np.arange(design.spec.static_dim)
+        sub = design.subset(np.r_[static, len(static) + np.argmin(
+            counts[len(static):])])
+        assert 0 < np.count_nonzero(sub.dX) < 0.1 * sub.dX.size
+        assert sub.nz_val is None and sub.nz_start is None
 
 
 def prepare_unreserved(stream, spec, monkeypatch):

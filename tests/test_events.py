@@ -77,6 +77,36 @@ class TestIngest:
         with pytest.raises(MalformedRowError, match="line 2"):
             ingest_events(path)
 
+    @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
+    def test_nonfinite_time_names_line(self, tmp_path, time):
+        path = write(tmp_path, "e.csv",
+                     f"time,sender,receivers\n1.0,0,1\n{time},1,0\n")
+        with pytest.raises(MalformedRowError, match="line 3: time"):
+            ingest_events(path)
+        path = write(tmp_path, "e.jsonl", '{"time": NaN, "sender": 0, '
+                     '"receivers": [1]}\n')
+        with pytest.raises(MalformedRowError, match="line 1: time"):
+            ingest_events(path, format="jsonl")
+        # a JSON integer past float64's range
+        path = write(tmp_path, "e.jsonl", '{"time": 1%s, "sender": 0, '
+                     '"receivers": [1]}\n' % ("0" * 400))
+        with pytest.raises(MalformedRowError, match="line 1"):
+            ingest_events(path, format="jsonl")
+
+    @pytest.mark.parametrize("field, value", [
+        ("receivers", '"12"'), ("receivers", "[1.5]"), ("receivers", "3"),
+        ("sender", "1.7"), ("sender", '"0"'), ("sender", "true"),
+        ("time", '"5"')])
+    def test_mistyped_jsonl_field_names_it(self, tmp_path, field, value):
+        row = {"time": "5.0", "sender": "0", "receivers": "[1, 2]"}
+        row[field] = value
+        text = "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}"
+        path = write(tmp_path, "e.jsonl",
+                     '{"time": 1.0, "sender": 2, "receivers": [0]}\n'
+                     + text + "\n")
+        with pytest.raises(MalformedRowError, match=f"line 2: {field}"):
+            ingest_events(path, format="jsonl")
+
     def test_unknown_actor_id(self, tmp_path):
         path = write(tmp_path, "e.csv", "time,sender,receivers\n1.0,9,1\n")
         with pytest.raises(MalformedRowError, match="unknown actor"):

@@ -712,8 +712,6 @@ class TestSingleLawPaths:
                                traits=random_traits(rng, 7))
         design = prepare(stream, rich_spec())
         wide = design.copy_with(dX=design.dX.astype(np.float64))
-        if path == "sparse":
-            wide.nz_val = design.nz_val.astype(np.float64)
         beta = rng.normal(0, 0.3, size=design.p)
         for order in range(3):
             got, want = (evaluate(d, beta, order=order) for d in (wide, design))
