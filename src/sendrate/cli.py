@@ -214,7 +214,7 @@ def _add_common_inputs(p, events_required=True):
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--spec", required=True)
     p.add_argument("--traits")
-    p.add_argument("--cutoff", type=int, default=5)
+    p.add_argument("--cutoff", type=positive_int, default=5)
 
 
 def build_parser():

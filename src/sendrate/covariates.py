@@ -51,13 +51,23 @@ class IntervalScheme:
         return len(self.boundaries) + 1
 
 
+#: Per triadic effect, the D slot half of its first leg (0: i->h, 1: h->i)
+#: and of its second leg (0: h->j, 1: j->h).
+_LEGS = {"2-send": (0, 0), "cosibling": (0, 1), "2-receive": (1, 1),
+         "sibling": (1, 0)}
+
+
 class CovariateSpec:
-    """Declarative list of covariate terms.
+    """Declarative list of covariate terms, and the layout of its columns.
 
     static_terms: strings "X*Y" with X a sender trait or "1", Y a receiver
     trait.  Sender-only terms "X*1" are rejected: a component constant in
     the receiver cannot be identified.  dyadic/triadic: (effect, form)
     pairs, form in {"indicator", "binned", "both"}.
+
+    ``term_names`` lists the columns, static ones first; ``slots`` gives
+    each dynamic column's position in the block ``DynamicState.rows``
+    gathers: D[i, j], then the two-path slots of each side in ``sides``.
     """
 
     def __init__(self, static_terms=(), dyadic=(), triadic=(),
@@ -89,25 +99,31 @@ class CovariateSpec:
         return out
 
     def _build_layout(self):
-        K = self.scheme.K
-        names = [f"{x}*{y}" for x, y in self.static_terms]
-        for effect, form in self.dyadic:
-            if form in ("indicator", "both"):
-                names.append(effect)
-            if form in ("binned", "both"):
-                names += [f"{effect}[{k}]" for k in range(1, K + 1)]
-        for effect, form in self.triadic:
-            if form in ("indicator", "both"):
-                names.append(effect)
-            if form in ("binned", "both"):
-                names += [f"{effect}[{k},{l}]"
-                          for k in range(1, K + 1) for l in range(1, K + 1)]
-        self.term_names = names
-        self.dim = len(names)
+        """Each column's name and, if dynamic, its slot, in one pass."""
+        K1 = self.scheme.K + 1
+        bins = range(1, K1)
+        self.sides = sorted({_LEGS[e][0] for e, _ in self.triadic})
+        base = {s: 2 * K1 * (1 + n * K1) for n, s in enumerate(self.sides)}
+        terms = self.dyadic + self.triadic
+        cols = []       # (name, slot) of each dynamic column
+        for effect, form in terms:
+            if effect in DYADIC_EFFECTS:
+                flag = K1 * (effect == "receive")
+                binned = [(f"{effect}[{k}]", flag + k) for k in bins]
+            else:   # first-leg slot k, second-leg slot l of D[h, j]
+                side, other = _LEGS[effect]
+                flag = base[side] + other * K1
+                binned = [(f"{effect}[{k},{l}]", flag + 2 * K1 * k + l)
+                          for k in bins for l in bins]
+            cols += [(effect, flag)] * (form != "binned")
+            cols += binned * (form != "indicator")
+        self.term_names = [f"{x}*{y}" for x, y in self.static_terms] + [
+            name for name, _ in cols]
+        self.slots = np.array([slot for _, slot in cols], dtype=np.intp)
+        self.dim = len(self.term_names)
         self.static_dim = len(self.static_terms)
         self.has_triadic = bool(self.triadic)
-        self.has_binned = any(f in ("binned", "both")
-                              for _, f in self.dyadic + self.triadic)
+        self.has_binned = any(f != "indicator" for _, f in terms)
 
     def to_json(self):
         return {
@@ -210,7 +226,7 @@ class DynamicState:
     middle actor h is i or j.  The sparse support, a superset of the
     receivers whose dynamic row can be non-zero, is kept as a boolean
     matrix; ``support(i)`` is sender i's row of it, and replay calls
-    ``rows`` on its members.
+    ``rows`` on its members.  The column layout is the spec's ``slots``.
     """
 
     def __init__(self, spec, actor_count):
@@ -224,23 +240,6 @@ class DynamicState:
         self._synced = (-np.inf, 0)   # query time and record count of D
         self._seen = np.zeros((actor_count, actor_count), dtype=bool)
         self._active = np.zeros((actor_count, actor_count), dtype=bool)
-        # positions of the dynamic columns in the block ``rows`` gathers:
-        # D[i, js], then the two-path slots of each first-leg side in use
-        self._sides = sorted({_LEGS[e][0] for e, _ in spec.triadic})
-        base = {s: 2 * K1 * (1 + n * K1) for n, s in enumerate(self._sides)}
-        k = np.arange(1, K1)
-        cols = []
-        for effect, form in spec.dyadic + spec.triadic:
-            if effect in DYADIC_EFFECTS:
-                flag = K1 * (effect == "receive")
-                bins = flag + k
-            else:
-                side, other = _LEGS[effect]
-                flag = base[side] + other * K1
-                bins = (flag + k[:, None] * 2 * K1 + k).ravel()
-            cols += [flag] * (form != "binned")
-            cols += bins.tolist() * (form != "indicator")
-        self._cols = np.array(cols, dtype=np.intp)
 
     def advance(self, event):
         """Fold one event into the state.  Time must not regress."""
@@ -334,27 +333,21 @@ class DynamicState:
         i, or of sender i[r] for receiver js[r]: a (len(js), p) array,
         static columns zero."""
         self._sync(t)
-        js = np.asarray(js, dtype=np.intp)
-        if self._sides and np.ndim(i):
-            out = np.empty((len(js), self.spec.dim))
+        spec, js = self.spec, np.asarray(js, dtype=np.intp)
+        if spec.sides and np.ndim(i):
+            out = np.empty((len(js), spec.dim))
             for a in np.unique(i):
                 out[i == a] = self.rows(t, a, js[i == a])
             return out
         block = self.D[i, js]
-        if self._sides:
+        if spec.sides:
             block = np.concatenate(
-                [block] + [self._paths(s, i, js) for s in self._sides], axis=1)
-        out = np.zeros((len(js), self.spec.dim))
-        out[:, self.spec.static_dim:] = block[:, self._cols]
+                [block] + [self._paths(s, i, js) for s in spec.sides], axis=1)
+        out = np.zeros((len(js), spec.dim))
+        out[:, spec.static_dim:] = block[:, spec.slots]
         return out
 
     def support(self, i):
         """Sparse support of sender i: a boolean row over the receivers,
         true wherever the dynamic row can be non-zero (never at i)."""
         return self._active[i]
-
-
-#: Per triadic effect, the D slot half of its first leg (0: i->h, 1: h->i)
-#: and of its second leg (0: h->j, 1: j->h).
-_LEGS = {"2-send": (0, 0), "cosibling": (0, 1), "2-receive": (1, 1),
-         "sibling": (1, 0)}

@@ -67,7 +67,9 @@ class PreparedDesign:
 
     Every entry of dX is a count, a product of counts or a 0/1 flag, so
     int16 holds it exactly at a quarter of float64's bytes; the first event
-    with an entry above 32,767 widens the rows once to float64.  Readers
+    with an entry above 32,767 widens the rows once to float64.  The replay
+    starts the rows at one per event and doubles them in place whenever an
+    event's rows would pass the end, then trims them to R.  Readers
     accept any numeric dX and upcast a chunk of rows at a time.  The CSR
     holds the same entries, for readers whose cost should follow the
     non-zeros (the single-receiver moments, see ``likelihood``);
@@ -101,10 +103,7 @@ class PreparedDesign:
 
         self.row_start = row_start = np.zeros(n + 1, dtype=np.intp)
         row_j_parts, row_risk_parts = [], []
-        try:    # an event has at most A rows; only those written are resident
-            dX = np.empty((n * A, p), dtype=np.int16)
-        except MemoryError:     # more than memory could hold: grow in place
-            dX = np.empty((n, p), dtype=np.int16)
+        dX = np.empty((n, p), dtype=np.int16)   # doubled in place below
         self.ev_block = ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
         last_block = {}     # sender -> (block id, its js, inrisk, first row)
@@ -136,7 +135,7 @@ class PreparedDesign:
                 blk_event.append(m)
             row_start[m + 1] = row_start[m] + len(js)
             # triadic products of counts can outgrow int16 on a long stream
-            if dX.dtype == np.int16 and len(js) and dx.max() > 32767:
+            if dX.dtype == np.int16 and dx.max(initial=0) > 32767:
                 dX = dX[:row_start[m]].astype(np.float64)
             if row_start[m + 1] > len(dX):
                 dX.resize((2 * row_start[m + 1], p), refcheck=False)

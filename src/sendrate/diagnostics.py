@@ -23,10 +23,6 @@ class PairCounts:
     expected: np.ndarray    # (A, A)
     convention: str         # "duplication" or "message"
 
-    @property
-    def actor_count(self):
-        return self.observed.shape[0]
-
 
 @dataclass
 class ResidualReport:

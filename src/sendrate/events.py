@@ -63,8 +63,9 @@ class EventStream:
     Parameters
     ----------
     events : sequence of Event
-        Must reference actor ids < actor_count.  Sorted by time at
-        construction (stable, so equal timestamps keep input order).
+        Must reference actor ids < actor_count, with no sender among its
+        receivers.  Sorted by time at construction (stable, so equal
+        timestamps keep input order).
     actor_count : int
     traits : ActorTraits, optional
     original_ids : sequence, optional
@@ -72,8 +73,7 @@ class EventStream:
         so densified streams round-trip.
     """
 
-    def __init__(self, events, actor_count, traits=None, original_ids=None,
-                 allow_self_loops=False):
+    def __init__(self, events, actor_count, traits=None, original_ids=None):
         if actor_count <= 0:
             raise StreamError("actor_count must be positive")
         events = sorted(events, key=lambda e: e.time)
@@ -83,7 +83,7 @@ class EventStream:
             for j in e.receivers:
                 if not (0 <= j < actor_count):
                     raise StreamError(f"receiver {j} outside actor registry")
-            if not allow_self_loops and e.sender in e.receivers:
+            if e.sender in e.receivers:
                 raise StreamError(
                     f"event at t={e.time} lists sender {e.sender} as receiver")
         if not events:
@@ -131,9 +131,6 @@ class ActorTraits:
             raise StreamError(f"unknown trait {name!r}") from None
         return self.matrix[:, k]
 
-    def counts(self):
-        return {n: int(self.matrix[:, k].sum()) for k, n in enumerate(self.names)}
-
     def with_products(self, pairs):
         """Return a copy with product columns X.Y appended for (X, Y) pairs."""
         names = list(self.names)
@@ -150,7 +147,8 @@ class RiskSetPolicy:
     Modes: ``all-but-sender`` (default), ``static`` per-sender sets, or a
     ``callback(t, i) -> iterable`` for time-varying policies.  ``mask`` is
     the one query; it raises StreamError naming the sender when the policy
-    gives it no set, or a set holding an id outside the registry.
+    gives it no set, or a set holding an id outside the registry or the
+    sender itself.
     """
 
     def __init__(self, mode="all-but-sender", static_sets=None, callback=None):
@@ -165,8 +163,8 @@ class RiskSetPolicy:
         self.callback = callback
 
     def mask(self, t, i, actor_count):
-        """Boolean eligibility vector of length actor_count.  Deterministic
-        in (t, i)."""
+        """Boolean eligibility vector of length actor_count, false at the
+        sender, whom no event can pick.  Deterministic in (t, i)."""
         if self.mode == "all-but-sender":
             return np.arange(actor_count) != i
         ids = (self.callback(t, i) if self.mode == "callback"
@@ -178,6 +176,8 @@ class RiskSetPolicy:
                          or ids.max() >= actor_count):
             raise StreamError(f"risk set of sender {i} holds ids outside "
                               f"0..{actor_count - 1}")
+        if i in ids:
+            raise StreamError(f"risk set of sender {i} holds the sender")
         return np.isin(np.arange(actor_count), ids)
 
 
@@ -306,18 +306,21 @@ def write_id_map(report, path):
         json.dump({str(k): v for k, v in report.id_map.items()}, fh, indent=0)
 
 
-def ingest_traits(path, actor_count=None, product_pairs=None):
+def ingest_traits(path, product_pairs=None):
     """Read a traits csv (header ``actor,<names...>``, 0/1 entries).
 
-    Rows may appear in any order; the ``actor`` column must cover
-    0..actor_count-1 exactly.  Product columns are appended when
-    ``product_pairs`` is given.
+    Rows may appear in any order; the ``actor`` column must cover 0..n-1
+    exactly once for n rows, and no trait name may repeat.  Product columns
+    are appended when ``product_pairs`` is given.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[0] != "actor":
             raise MalformedRowError(1, "expected header actor,<trait names...>")
         names = header[1:]
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise MalformedRowError(1, f"trait {name!r} named twice")
         rows = {}
         for lineno, line in enumerate(fh, start=2):
             line = line.strip()
@@ -333,13 +336,12 @@ def ingest_traits(path, actor_count=None, product_pairs=None):
                 raise MalformedRowError(lineno, str(exc)) from None
             if any(v not in (0, 1) for v in vals):
                 raise MalformedRowError(lineno, "non-binary trait entry")
+            if actor in rows:
+                raise MalformedRowError(lineno, f"actor {actor} listed twice")
             rows[actor] = vals
-    if actor_count is None:
-        actor_count = len(rows)
-    if set(rows) != set(range(actor_count)):
-        raise StreamError(
-            f"traits cover {len(rows)} actors, expected {actor_count}")
-    matrix = np.array([rows[i] for i in range(actor_count)])
+    if set(rows) != set(range(len(rows))):
+        raise StreamError(f"trait rows must list actors 0..{len(rows) - 1}")
+    matrix = np.array([rows[i] for i in range(len(rows))])
     traits = ActorTraits(names, matrix)
     if product_pairs:
         traits = traits.with_products(product_pairs)

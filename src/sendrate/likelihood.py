@@ -51,8 +51,6 @@ from .events import StreamError
 #: p = 306 benchmark shape, 4-8 MB chunks ran order 2 faster than 32-64 MB.
 _CHUNK_BYTES = 8 << 20
 
-_L_MAX = 6  # largest receiver-set size the exact variant evaluates
-
 
 @dataclass
 class LikelihoodReport:
@@ -97,10 +95,8 @@ def _top_shift(S, L):
 
 
 def _leave_one_out(w, l):
-    """e_l of the weights without item j, for each j along the last axis:
-    sums of prefix times suffix ESP tables, with no subtraction."""
-    if l < 0:
-        return np.zeros_like(w)
+    """e_l (l >= 0) of the weights without item j, for each j along the
+    last axis: sums of prefix times suffix ESP tables, with no subtraction."""
     pre = esp_table(w, l)
     suf = esp_table(w[..., ::-1], l)[..., ::-1, :]
     return sum(pre[..., :-1, a] * suf[..., 1:, l - a] for a in range(l + 1))
@@ -156,11 +152,10 @@ def _size_units(design):
     """Exact-variant units, one (L, first events, event counts) group per
     receiver-set size: every (block, size) pair that occurs, counted once
     per event.  A block's events share the sender and the rows, so they
-    see the same weights."""
+    see the same weights.  Any size is evaluated: ``_eval_units`` narrows
+    its chunks as L grows, and the ESP tables hold L + 1 columns."""
     B = len(design.blk_event)
     Lmax = int(design.ev_size.max())
-    if Lmax > _L_MAX:
-        raise StreamError(f"receiver-set size {Lmax} exceeds limit {_L_MAX}")
     events = np.bincount(design.ev_size * B + design.ev_block,
                          minlength=(Lmax + 1) * B).reshape(Lmax + 1, B)
     return [(L, design.blk_event[n > 0], n[n > 0].astype(np.float64))

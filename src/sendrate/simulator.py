@@ -163,9 +163,8 @@ class _Engine:
         self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
 
     def _refresh_pairs(self, pairs, t_eval):
+        # never empty: the pairs hold the record's own, an eligible pair
         pairs = [(a, b) for a, b in pairs if self.mask[a, b]]
-        if not pairs:
-            return
         a, b = np.array(pairs, dtype=np.intp).T
         x = self.static.x0_pair(a, b) + self.state.rows(t_eval, a, b)
         # one dot per row: the sums of a per-pair refresh, bit for bit

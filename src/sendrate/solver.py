@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -237,21 +238,9 @@ def wald_tests(result, alpha=1e-3):
         z = result.beta / result.se
     z = np.where(result.se > 0, z, 0.0)
     pvals = np.array([math.erfc(abs(v) / math.sqrt(2.0)) for v in z])
-    crit = _normal_quantile(1.0 - alpha / 2.0)
+    crit = NormalDist().inv_cdf(1.0 - alpha / 2.0)
     return {"z": z, "p": pvals, "significant": np.abs(z) >= crit,
             "alpha": alpha, "critical": crit}
-
-
-def _normal_quantile(q):
-    """Standard normal quantile by bisection on erfc (no scipy dependency)."""
-    lo, hi = 0.0, 40.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if 1.0 - 0.5 * math.erfc(mid / math.sqrt(2.0)) < q:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
 
 
 @dataclass

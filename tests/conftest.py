@@ -106,7 +106,7 @@ def brute_covariates(stream, spec, static, t, i, j):
             x[pos:pos + K] = binned(*pair)
             pos += K
     for effect, form in spec.triadic:
-        hs = [h for h in range(stream.actor_count) if h not in (i, j)]
+        hs = [h for h in range(static.actor_count) if h not in (i, j)]
         if form in ("indicator", "both"):
             x[pos] = float(any(ever(*legs[effect](h)[0]) and
                                ever(*legs[effect](h)[1]) for h in hs))

@@ -12,6 +12,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -233,7 +234,7 @@ def recovery_study():
                              range(RECOVERY_RUNS)))
     converged, beta, se, gap, seconds = (np.array(col) for col in zip(*runs))
     err = np.abs(beta - RECOVERY_TRUE)
-    z95 = solver._normal_quantile(0.975)
+    z95 = NormalDist().inv_cdf(0.975)
     return {"hits3": converged & (err <= 3.0 * se).all(axis=1),
             "covered": err <= z95 * se,
             "z": (beta - RECOVERY_TRUE) / se,

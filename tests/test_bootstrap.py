@@ -1,3 +1,5 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -266,8 +268,7 @@ class TestBootstrapBias:
 
 class TestCoverage:
     def test_interval_always_covers_with_huge_se(self):
-        from sendrate.solver import FitResult, _normal_quantile
-        z = _normal_quantile(0.975)
+        z = NormalDist().inv_cdf(0.975)
         beta_true = np.array([0.5])
         res_beta, se = np.array([123.0]), np.array([1e6])
         assert (np.abs(res_beta - beta_true) <= z * se).all()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sendrate import (CovariateSpec, SolverConfig, fit, ingest_events,
-                      ingest_traits, prepare)
+                      ingest_traits, prepare, solver)
 from sendrate.cli import main
 
 SIM_CONFIG = {
@@ -93,6 +93,18 @@ class TestSimulateAndFit:
                        *given) == 0
         assert open("b1.json").read() == open("b2.json").read()
 
+    def test_exact_fit_of_sets_up_to_nine(self, workdir):
+        # the exact variant takes any set size the cutoff keeps
+        sim = dict(SIM_CONFIG, actor_count=14, n_events=300,
+                   size_weights={"1": 1.0, "5": 1e-4, "9": 1e-5})
+        (workdir / "big.json").write_text(json.dumps(sim))
+        assert run("simulate", "--config", "big.json", "--out", "e.csv") == 0
+        stream, _ = ingest_events("e.csv", cutoff=9)
+        assert max(e.size for e in stream) == 9
+        assert run("fit", "--events", "e.csv", "--spec", "spec.json",
+                   "--variant", "exact", "--cutoff", "9",
+                   "--out", "fit.json") == 0
+
     def test_deviance_table_output(self, workdir):
         run("simulate", "--config", "sim.json", "--out", "e.csv")
         assert run("fit", "--events", "e.csv", "--spec", "spec.json",
@@ -128,6 +140,25 @@ class TestTraits:
         design = prepare(stream, CovariateSpec.load("tspec.json"), traits=traits)
         want = fit(design, "approx_multicast", SolverConfig(max_iters=100))
         assert json.loads(open("fit.json").read())["beta"] == want.beta.tolist()
+
+    @pytest.mark.parametrize("text, where", [
+        ("actor,g\n0,1\n1,0\n1,1\n2,0\n", "line 4: actor 1 listed twice"),
+        ("actor,g,g\n0,1,0\n1,0,1\n", "line 1: trait 'g' named twice")],
+        ids=["actor", "trait"])
+    def test_repeated_trait_row_or_name_is_1(self, traited, capsys, text,
+                                             where):
+        (traited / "dup.csv").write_text(text)
+        assert run("fit", "--events", "t.csv", "--spec", "tspec.json",
+                   "--traits", "dup.csv", "--out", "fit.json") == 1
+        assert where in capsys.readouterr().err
+
+    def test_static_deviance_group(self, traited):
+        assert run("fit", "--events", "t.csv", "--spec", "tspec.json",
+                   "--traits", "traits.csv", "--out", "fit.json",
+                   "--deviance", "static,send,receive") == 0
+        lines = open("fit.json.deviance.csv").read().splitlines()
+        assert [l.split(",")[0] for l in lines[1:]] == [
+            "Null", "static", "send", "receive"]
 
     def test_actor_outside_traits_is_1(self, traited):
         (traited / "short.csv").write_text(
@@ -221,6 +252,25 @@ class TestExitCodes:
         assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
         assert "horizon" in capsys.readouterr().err
 
+    def test_deviance_group_without_terms_is_1(self, workdir, capsys):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        assert run("fit", "--events", "e.csv", "--spec", "spec.json",
+                   "--deviance", "send,sibling") == 1
+        assert "'sibling' matches no terms" in capsys.readouterr().err
+
+    def test_singular_information_is_3(self, workdir, monkeypatch):
+        def singular(info, score):
+            raise solver.SingularInformationError("no direction")
+        monkeypatch.setattr(solver, "_newton_direction", singular)
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        assert run("fit", "--events", "e.csv", "--spec", "spec.json") == 3
+
+    def test_spec_without_terms_is_1(self, workdir, capsys):
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        (workdir / "empty.json").write_text("{}")
+        assert run("fit", "--events", "e.csv", "--spec", "empty.json") == 1
+        assert "no covariate columns" in capsys.readouterr().err
+
     def test_fit_file_without_field_is_1(self, workdir):
         run("simulate", "--config", "sim.json", "--out", "e.csv")
         (workdir / "bad_fit.json").write_text(json.dumps({"beta": [0.0, 0.0]}))
@@ -231,6 +281,9 @@ class TestExitCodes:
         run("simulate", "--config", "sim.json", "--out", "e.csv")
         assert run("fit", "--events", "e.csv", "--spec", "spec.json",
                    "--max-iters", "0") == 64
+        for cutoff in ("0", "-2"):
+            assert run("fit", "--events", "e.csv", "--spec", "spec.json",
+                       "--cutoff", cutoff) == 64
         assert run("bootstrap", "--events", "e.csv", "--spec", "spec.json",
                    "--replicates", "0") == 64
 

@@ -185,7 +185,7 @@ class TestDynamicCounts:
             state.advance(e)
             for j in e.receivers:
                 totals[(e.sender, j)] = totals.get((e.sender, j), 0) + 1
-        t = stream.events[-1].time + 1e9
+        t = stream[-1].time + 1e9
         for (i, j), total in totals.items():
             send, _ = pair_counts(state, t, i, j)
             assert send.sum() == total
@@ -234,7 +234,7 @@ class TestTriadic:
         static = StaticDesign(spec, None, 5)
         for e in stream:
             state.advance(e)
-        t = stream.events[-1].time + 7 * MIN
+        t = stream[-1].time + 7 * MIN
         for i in range(5):
             for j in range(5):
                 if i == j:
@@ -284,7 +284,7 @@ class TestSparseDenseEquivalence:
         state = DynamicState(spec, actors)
         for e in stream:
             state.advance(e)
-        t = stream.events[-1].time + 1.0
+        t = stream[-1].time + 1.0
         for i in range(actors):
             active = np.flatnonzero(state.support(i))
             outside = [j for j in range(actors) if j != i and j not in active]
@@ -302,20 +302,27 @@ class TestSparseDenseEquivalence:
 
 
 class TestPreparedRows:
-    def test_rows_grow_in_place_when_not_reserved(self, rng, monkeypatch):
-        # A rows per event are reserved and trimmed; where memory refuses
-        # that, the rows grow in place to the same design
+    def test_rows_grow_in_place(self, rng):
+        # the rows start at one per event and double as they outgrow it;
+        # every event keeps the rows the state gave it (zero at the sender,
+        # which is outside the support), trimmed to R
         actors = 6
         spec = TestSparseDenseEquivalence().full_spec()
         stream = random_stream(rng, actors=actors, n=200, max_size=3,
                                gap=10 * MIN)
-        want = prepare(stream, spec)
-        assert want.dX.shape == (want.row_start[-1], spec.dim)
-        assert want.dX.dtype == np.int16
-        assert want.row_start[-1] > len(stream)
-        assert_same_design(prepare_unreserved(stream, spec, monkeypatch), want)
+        design = prepare(stream, spec)
+        assert design.dX.shape == (design.row_start[-1], spec.dim)
+        assert design.dX.dtype == np.int16
+        assert design.row_start[-1] > 2 * len(stream)
+        state = DynamicState(spec, actors)
+        for m, e in enumerate(stream):
+            js, dx, _ = design.event_rows(m)
+            want = state.rows(e.time, e.sender, js)
+            want[js == e.sender] = 0.0
+            assert np.array_equal(dx, want)
+            state.advance(e)
 
-    def test_counts_past_int16_widen_the_rows(self, monkeypatch):
+    def test_counts_past_int16_widen_the_rows(self):
         # 200 messages 0->1, then 200 messages 1->2, all in bin 1 at the
         # last event: 0 reaches 2 over 200 x 200 = 40,000 two-paths, more
         # than int16 holds
@@ -341,8 +348,6 @@ class TestPreparedRows:
         assert_allclose(fast.logpl, slow.logpl, rtol=1e-10)
         assert_allclose(fast.score, slow.score, rtol=1e-10)
         assert_allclose(fast.info, slow.info, rtol=1e-10)
-        assert_same_design(prepare_unreserved(stream, spec, monkeypatch),
-                           design)
 
 
     def test_equivalent_policies_give_one_design(self, rng):
@@ -494,20 +499,6 @@ class TestOneIndexBuilder:
         assert sub.nz_val is None and sub.nz_start is None
 
 
-def prepare_unreserved(stream, spec, monkeypatch):
-    """``prepare`` where memory refuses the reservation of A rows per
-    event, so the rows grow in place."""
-    empty = np.empty
-
-    def refuse_reservation(shape, *args, **kwargs):
-        if shape == (len(stream) * stream.actor_count, spec.dim):
-            raise MemoryError("reservation refused")
-        return empty(shape, *args, **kwargs)
-    with monkeypatch.context() as patch:
-        patch.setattr(np, "empty", refuse_reservation)
-        return prepare(stream, spec)
-
-
 def assert_same_design(got, want):
     assert got.dX.dtype == want.dX.dtype
     assert np.asarray(got.nz_val).dtype == np.asarray(want.nz_val).dtype
@@ -552,7 +543,8 @@ class TestCountTensor:
 
     def tied_stream(self, rng, actors, n, self_loops=False):
         # times on a 10-minute grid: same-timestamp events, and ages that
-        # land exactly on the boundaries
+        # land exactly on the boundaries; a list, since an EventStream
+        # refuses self-loops, and the state is fed directly
         events, t = [], 0.0
         for _ in range(n):
             t += 10 * MIN * int(rng.integers(0, 3))
@@ -561,7 +553,7 @@ class TestCountTensor:
             size = int(rng.integers(1, 4))
             recv = rng.choice(list(pool), size=size, replace=False).tolist()
             events.append(Event(t, i, tuple(recv)))
-        return EventStream(events, actors, allow_self_loops=self_loops)
+        return events
 
     def test_every_event_every_receiver(self, rng):
         actors = 6
@@ -586,7 +578,7 @@ class TestCountTensor:
         state = DynamicState(spec, actors)
         for e in stream:
             state.advance(e)
-        end = stream.events[-1].time
+        end = stream[-1].time
         for t in sorted((end + 4 * HOUR, end + 1.0, end, end - 40 * MIN,
                          end + HOUR, end / 2, 0.0)):
             for i in range(actors):
@@ -608,7 +600,7 @@ class TestCountTensor:
         state = DynamicState(spec, actors)
         for e in stream:
             state.advance(e)
-        t = stream.events[-1].time + 30 * MIN
+        t = stream[-1].time + 30 * MIN
         for i in range(actors):
             for j in range(actors):
                 if j != i:
@@ -623,7 +615,7 @@ class TestCountTensor:
         state = DynamicState(spec, actors)
         for e in stream:
             state.advance(e)
-        t = stream.events[-1].time + 25 * MIN
+        t = stream[-1].time + 25 * MIN
         pairs = [(i, j) for i in range(actors) for j in range(actors) if i != j]
         senders, receivers = np.array(pairs).T
         want = np.array([state.rows(t, i, [j])[0] for i, j in pairs])

@@ -77,6 +77,16 @@ class TestIngest:
         with pytest.raises(MalformedRowError, match="line 2"):
             ingest_events(path)
 
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = write(tmp_path, "e.csv", "time,sender,receivers\n1.0,0,1\n\n")
+        assert len(ingest_events(path)[0]) == 1
+        path = write(tmp_path, "e.csv", "time,sender,receivers\n\n1.0,x,1\n")
+        with pytest.raises(MalformedRowError, match="line 3"):
+            ingest_events(path)
+        path = write(tmp_path, "t.csv", "actor,a\n0,1\n\n1,2\n")
+        with pytest.raises(MalformedRowError, match="line 4"):
+            ingest_traits(path)
+
     @pytest.mark.parametrize("time", ["nan", "inf", "-inf"])
     def test_nonfinite_time_names_line(self, tmp_path, time):
         path = write(tmp_path, "e.csv",
@@ -175,7 +185,7 @@ class TestTraits:
             rows += [row] * count
         traits = ActorTraits(["L", "T", "J", "F"], rows).with_products(
             [("L", "J"), ("T", "J"), ("L", "F"), ("T", "F"), ("J", "F")])
-        counts = traits.counts()
+        counts = dict(zip(traits.names, traits.matrix.sum(axis=0)))
         assert traits.actor_count == 156
         assert counts == {"L": 25, "T": 60, "J": 82, "F": 43, "LJ": 12,
                           "TJ": 24, "LF": 13, "TF": 10, "JF": 27}
@@ -186,11 +196,23 @@ class TestTraits:
         with pytest.raises(StreamError):
             ingest_traits(str(p))
 
+    def test_ingest_traits_repeated_actor(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("actor,a\n0,1\n1,0\n1,1\n2,0\n")
+        with pytest.raises(MalformedRowError, match="line 4: actor 1 listed"):
+            ingest_traits(str(p))
+
+    def test_ingest_traits_repeated_name(self, tmp_path):
+        p = tmp_path / "t.csv"
+        p.write_text("actor,a,a\n0,1,0\n1,0,1\n")
+        with pytest.raises(MalformedRowError, match="line 1: trait 'a' named"):
+            ingest_traits(str(p))
+
     def test_ingest_traits_row_mismatch(self, tmp_path):
         p = tmp_path / "t.csv"
-        p.write_text("actor,a\n0,1\n1,0\n")
-        with pytest.raises(StreamError):
-            ingest_traits(str(p), actor_count=3)
+        p.write_text("actor,a\n0,1\n2,0\n")
+        with pytest.raises(StreamError, match="actors 0..1"):
+            ingest_traits(str(p))
 
 
 class TestRiskSets:
@@ -235,6 +257,15 @@ class TestBadRiskSets:
                                                      2: {0}}),
                 RiskSetPolicy("callback", callback=lambda t, i: {1, 3} - {i})):
             with pytest.raises(StreamError, match="sender 0"):
+                self.prepare_with(policy)
+
+    def test_set_holding_the_sender(self):
+        # the sender would count as a receiver no event can pick
+        for policy in (
+                RiskSetPolicy("static", static_sets={0: {0, 1}, 1: {0},
+                                                     2: {0}}),
+                RiskSetPolicy("callback", callback=lambda t, i: {0, 1, 2})):
+            with pytest.raises(StreamError, match="sender 0 holds the sender"):
                 self.prepare_with(policy)
 
     def test_negative_id_does_not_wrap(self):

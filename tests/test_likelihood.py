@@ -344,6 +344,22 @@ class TestExactKernel:
                 if order >= 2:
                     assert rel_diff(fast.info, slow.info) <= 1e-10
 
+    def test_sizes_up_to_nine_match_dense(self, rng):
+        # no size cap: the chunks narrow as L grows
+        stream = random_stream(rng, actors=14, n=150, max_size=9,
+                               gap=20 * MIN, traits=random_traits(rng, 14))
+        design = prepare(stream, rich_spec())
+        assert design.ev_size.max() == 9
+        beta = rng.normal(0, 0.3, size=design.p)
+        slow = dense_oracle(design, beta, "exact_multicast")
+        for order in range(3):
+            fast = evaluate(design, beta, "exact_multicast", order=order)
+            assert rel_diff(fast.logpl, slow.logpl) <= 1e-10
+            if order >= 1:
+                assert rel_diff(fast.score, slow.score) <= 1e-10
+            if order >= 2:
+                assert rel_diff(fast.info, slow.info) <= 1e-10
+
     def test_event_covering_its_risk_set_is_certain(self, rng):
         # senders 0 and 1 may reach only two and three actors; their events
         # to all of them have probability 1, so they add no log-likelihood

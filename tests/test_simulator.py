@@ -51,6 +51,14 @@ class TestBasics:
         with pytest.raises(StreamError):
             simulate(cfg)
 
+    def test_explosive_configuration_stops(self):
+        # a first message makes its pair's log-weight 600, past the cap on
+        # the log total intensity
+        cfg = SimConfig(actor_count=4, beta_true=np.array([600.0, 0.0]),
+                        spec=send_recv_spec(), baseline=1.0, n_events=10)
+        with pytest.raises(StreamError, match="explosive"):
+            simulate(cfg)
+
     def test_horizon_mode_count_distribution(self):
         # beta = 0, singletons: total count is Poisson, mean T*sum(rate)*(A-1)
         A, lam, T = 10, 0.002, 5000.0
@@ -187,6 +195,32 @@ class TestPolicies:
         stream = simulate(cfg)
         for e in stream:
             assert set(e.receivers) <= sets[e.sender]
+
+    def test_no_rate_until_a_crossing(self):
+        # a fresh message weighs e^-800 against the silent receiver, so
+        # every size-2 total of sender 0 underflows to 0 until its records
+        # age into bin 2; sender 3 has no risk set and no rate
+        sets = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: set()}
+        spec = CovariateSpec(dyadic=[("send", "binned")],
+                             scheme=IntervalScheme([60.0]))
+        cfg = SimConfig(actor_count=4, beta_true=np.array([-800.0, 0.0]),
+                        spec=spec, seed=4, baseline=[1.0, 0.0, 0.0, 0.0],
+                        size_weights={2: 1.0}, n_events=6,
+                        policy=RiskSetPolicy("static", static_sets=sets))
+        times = [e.time for e in simulate(cfg)]
+        assert len(times) == 6
+        assert min(np.diff(times)) > 60.0
+
+    def test_set_holding_the_sender_fails_before_drawing(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("drew a receiver set")
+        monkeypatch.setattr(esp, "sample_fixed_size", no_draw)
+        sets = {0: {0, 1, 2}, 1: {0}, 2: {0, 1}}
+        cfg = SimConfig(actor_count=3, beta_true=np.array([0.5, 0.0]),
+                        spec=send_recv_spec(), n_events=29,
+                        policy=RiskSetPolicy("static", static_sets=sets))
+        with pytest.raises(StreamError, match="sender 0 holds the sender"):
+            simulate(cfg)
 
 
 class TestTriadicRefresh:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
-                      IntervalScheme, evaluate, fit, likelihood, prepare,
+                      IntervalScheme, StreamError, evaluate, fit, likelihood, prepare,
                       solver, wald_tests)
 from sendrate.solver import (DevianceRow, FitResult, SolverConfig,
                              deviance_table)
@@ -84,6 +84,12 @@ class TestFit:
         warm = fit(design, "approx_multicast",
                    beta0=rng.normal(0, 0.5, size=design.p))
         assert_allclose(cold.beta, warm.beta, atol=1e-6)
+
+    def test_design_without_columns_refused(self, rng):
+        design = prepare(random_stream(rng, actors=4, n=10), CovariateSpec())
+        assert design.p == 0
+        with pytest.raises(StreamError, match="no covariate columns"):
+            fit(design)
 
     def test_degenerate_column_flagged(self, rng):
         actors = 6
