@@ -117,8 +117,11 @@ class CovariateSpec:
                           for k in bins for l in bins]
             cols += [(effect, flag)] * (form != "binned")
             cols += binned * (form != "indicator")
-        self.term_names = [f"{x}*{y}" for x, y in self.static_terms] + [
-            name for name, _ in cols]
+        self.term_names = names = [
+            f"{x}*{y}" for x, y in self.static_terms] + [n for n, _ in cols]
+        if len(set(names)) < len(names):
+            twice = next(n for k, n in enumerate(names) if n in names[:k])
+            raise StreamError(f"covariate column {twice!r} listed twice")
         self.slots = np.array([slot for _, slot in cols], dtype=np.intp)
         self.dim = len(self.term_names)
         self.static_dim = len(self.static_terms)
@@ -227,6 +230,14 @@ class DynamicState:
     receivers whose dynamic row can be non-zero, is kept as a boolean
     matrix; ``support(i)`` is sender i's row of it, and replay calls
     ``rows`` on its members.  The column layout is the spec's ``slots``.
+
+    Without triadic terms, sender i's rows read only D[i] and its support
+    row, so the state keeps a private change count per actor: ``_move``
+    adds one to an actor when a slot of its D row that a column reads
+    changes value, and ``advance`` when its support row gains a member.
+    While i's count stands, ``rows`` gives i the rows it gave before.  A
+    triadic row also reads the records of i's neighbours' pairs, so with
+    triadic terms there is no count and ``_stamp`` gives None.
     """
 
     def __init__(self, spec, actor_count):
@@ -240,6 +251,18 @@ class DynamicState:
         self._synced = (-np.inf, 0)   # query time and record count of D
         self._seen = np.zeros((actor_count, actor_count), dtype=bool)
         self._active = np.zeros((actor_count, actor_count), dtype=bool)
+        self._count = None
+        if not spec.has_triadic:
+            self._count = [0] * actor_count
+            # whether a move changes a read slot of a's and of b's D row:
+            # move k changes slots k and k+1 (k = 0: the flags and slot 1);
+            # the last entry is a move 0 whose flags stand (slot 1 alone)
+            reads = np.zeros(2 * K1, dtype=bool)
+            reads[spec.slots] = True
+            self._hits = [(bool(reads[lo:hi].any()),
+                           bool(reads[K1 + lo:K1 + hi].any()))
+                          for lo, hi in [(k, k + 2) for k in range(K1 - 1)]
+                          + [(1, 2)]]
 
     def advance(self, event):
         """Fold one event into the state.  Time must not regress."""
@@ -253,9 +276,14 @@ class DynamicState:
                 self._pairs.append((a, b))
             if not self._seen[a, b]:
                 self._seen[a, b] = True
-                # the support depends only on which pairs ever interacted
+                # the support depends only on which pairs ever interacted;
+                # it is symmetric, so v joins u's row just as u joins v's
                 for u, near in self._links(a, b):
-                    self._active[u, near] = self._active[near, u] = True
+                    fresh = np.flatnonzero(near & ~self._active[u])
+                    self._active[u, fresh] = self._active[fresh, u] = True
+                    if self._count is not None and len(fresh):
+                        for v in [u] + fresh.tolist():
+                            self._count[v] += 1
         self.current_time = t
 
     def _links(self, a, b):
@@ -305,13 +333,20 @@ class DynamicState:
         strict past, which sets its pair's visibility flags."""
         a, b = self._pairs[r]
         D, K1 = self.D, self._K1
+        moved = k       # the entry of _hits
         if k:
             D[a, b, k] -= 1.0
             D[b, a, K1 + k] -= 1.0
+        elif D[a, b, 0]:
+            moved = -1
         else:
             D[a, b, 0] = D[b, a, K1] = 1.0
         D[a, b, k + 1] += 1.0
         D[b, a, K1 + k + 1] += 1.0
+        if self._count is not None:
+            hit_a, hit_b = self._hits[moved]
+            self._count[a] += hit_a
+            self._count[b] += hit_b
 
     # -- queries (strict past: records at exactly t do not count) ---------
 
@@ -346,6 +381,12 @@ class DynamicState:
         out = np.zeros((len(js), spec.dim))
         out[:, spec.static_dim:] = block[:, spec.slots]
         return out
+
+    def _stamp(self, t, i):
+        """Sender i's change count at time t, or None with triadic terms:
+        equal stamps give equal rows and support."""
+        self._sync(t)
+        return None if self._count is None else self._count[i]
 
     def support(self, i):
         """Sparse support of sender i: a boolean row over the receivers,

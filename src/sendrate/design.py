@@ -14,7 +14,11 @@ outside the support has a zero dynamic part.
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
 likelihood evaluates each block's normalizer and moments once per
-receiver-set size (once in all under duplication).
+receiver-set size (once in all under duplication).  Where the state keeps
+a change count (no triadic terms, see ``DynamicState``), an event whose
+sender's count and mask equal those at the sender's previous event joins
+that event's block and copies the block's rows without building them; any
+other event builds its rows and compares them with the block's.
 
 The covariate state behind the replay is ``DynamicState``: a dense tensor
 of per-pair bin counts and visibility flags, 2*A^2*(K+1) doubles, which K
@@ -106,7 +110,9 @@ class PreparedDesign:
         dX = np.empty((n, p), dtype=np.int16)   # doubled in place below
         self.ev_block = ev_block = np.empty(n, dtype=np.intp)
         blk_event = []
-        last_block = {}     # sender -> (block id, its js, inrisk, first row)
+        # sender -> its previous event's block id, that block's js, inrisk
+        # and first row, and the event's state stamp and mask
+        last_block = {}
 
         state = DynamicState(spec, A)
         for m, ev in enumerate(stream):
@@ -117,29 +123,40 @@ class PreparedDesign:
                 raise ReceiverOutsideRiskSet(
                     f"event {m}: receiver {recv[~mask[recv]][0]} outside "
                     f"risk set of sender {i}")
-            support = state.support(i)
-            js = np.flatnonzero(support | ~mask)
-            inrisk = mask[js]
-            # rows only on the support: a masked-out actor outside it keeps
-            # a zero row, where rows(t, i, [i]) would count paths i->h->i
-            dx = state.rows(t, i, js)
-            dx[~support[js]] = 0.0
+            stamp = state._stamp(t, i)
             prev = last_block.get(i)
-            if (prev is not None and np.array_equal(prev[1], js)
-                    and np.array_equal(prev[2], inrisk)
-                    and np.array_equal(dX[prev[3]:prev[3] + len(js)], dx)):
-                ev_block[m] = prev[0]
+            if (prev is not None and stamp is not None and prev[4] == stamp
+                    and np.array_equal(prev[5], mask)):
+                block, js, inrisk, first = prev[:4]
+                dx = None       # the block's rows, copied below
             else:
-                ev_block[m] = len(blk_event)
-                last_block[i] = (len(blk_event), js, inrisk, row_start[m])
-                blk_event.append(m)
+                support = state.support(i)
+                js = np.flatnonzero(support | ~mask)
+                inrisk = mask[js]
+                # rows only on the support: a masked-out actor outside it
+                # keeps a zero row, where rows(t, i, [i]) would count paths
+                # i->h->i
+                dx = state.rows(t, i, js)
+                dx[~support[js]] = 0.0
+                if (prev is not None and np.array_equal(prev[1], js)
+                        and np.array_equal(prev[2], inrisk)
+                        and np.array_equal(dX[prev[3]:prev[3] + len(js)],
+                                           dx)):
+                    block, first = prev[0], prev[3]
+                else:
+                    block, first = len(blk_event), row_start[m]
+                    blk_event.append(m)
+            ev_block[m] = block
+            last_block[i] = (block, js, inrisk, first, stamp, mask)
             row_start[m + 1] = row_start[m] + len(js)
             # triadic products of counts can outgrow int16 on a long stream
-            if dX.dtype == np.int16 and dx.max(initial=0) > 32767:
+            if (dx is not None and dX.dtype == np.int16
+                    and dx.max(initial=0) > 32767):
                 dX = dX[:row_start[m]].astype(np.float64)
             if row_start[m + 1] > len(dX):
                 dX.resize((2 * row_start[m + 1], p), refcheck=False)
-            dX[row_start[m]:row_start[m + 1]] = dx
+            dX[row_start[m]:row_start[m + 1]] = (
+                dX[first:first + len(js)] if dx is None else dx)
             row_j_parts.append(js)
             row_risk_parts.append(inrisk)
             state.advance(ev)

@@ -114,6 +114,9 @@ class ActorTraits:
             raise StreamError("trait matrix shape does not match names")
         if not np.isin(matrix, (0, 1)).all():
             raise StreamError("trait entries must be 0/1")
+        for k, name in enumerate(names):
+            if name in names[:k]:
+                raise StreamError(f"trait {name!r} named twice")
         self.names = list(names)
         self.matrix = matrix.astype(np.float64)
         self.matrix.setflags(write=False)

@@ -11,6 +11,14 @@ receiver set by an exact fixed-size weighted draw.
 The per-size baseline factorizes as rate(i) * size_weight(L); this is a
 simulation choice, echoed in the ground-truth metadata, not a constraint of
 the fitted model.
+
+Work follows the state changes.  Of a record's affected pairs, only those
+whose sender's change count (``DynamicState``; none with triadic terms)
+moved since the pair was last computed get their rows and log-weights
+recomputed.  A sender's size totals are refreshed only when one of its
+log-weights changed bits, and the total rate and the CDF of the (sender,
+size) draw are kept until a sender is refreshed.  Every stored value is
+the one a full refresh gives, so a stream is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -149,10 +157,12 @@ class _Engine:
         for i in range(A):
             self._refresh_sender(i)
         self.crossings = []
+        self.stamped = {}       # pair -> its sender's count when computed
         self.rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=int(config.seed))))
 
     def _refresh_sender(self, i):
+        self.law = None       # (total rate, CDF): see _total_and_cdf
         row = self.logw[i]
         top = row.max()
         if not math.isfinite(top):
@@ -163,27 +173,49 @@ class _Engine:
         self.logS[i] = np.log(e[self.sizes]) + self.sizes * top
 
     def _refresh_pairs(self, pairs, t_eval):
-        # never empty: the pairs hold the record's own, an eligible pair
-        pairs = [(a, b) for a, b in pairs if self.mask[a, b]]
-        a, b = np.array(pairs, dtype=np.intp).T
+        fresh = []
+        for a, b in pairs:
+            if not self.mask[a, b]:
+                continue
+            # a pair whose sender's change count stands since the pair was
+            # last computed keeps its row, so its log-weight is that dot
+            stamp = self.state._stamp(t_eval, a)
+            if stamp is not None:
+                if self.stamped.get((a, b)) == stamp:
+                    continue
+                self.stamped[(a, b)] = stamp
+            fresh.append((a, b))
+        if not fresh:
+            return
+        a, b = np.array(fresh, dtype=np.intp).T
         x = self.static.x0_pair(a, b) + self.state.rows(t_eval, a, b)
         # one dot per row: the sums of a per-pair refresh, bit for bit
         beta = self.config.beta_true
-        self.logw[a, b] = [row @ beta for row in x]
-        for i in set(a.tolist()):
+        logw = np.array([row @ beta for row in x])
+        moved = _moved(self.logw[a, b], logw)
+        self.logw[a[moved], b[moved]] = logw[moved]
+        for i in set(a[moved].tolist()):
             self._refresh_sender(i)
 
-    def _total_and_probs(self):
+    def _total_and_cdf(self):
+        """The total rate and the CDF of the (sender, size) pick, as
+        ``Generator.choice(p=)`` forms it; kept until a sender refresh."""
+        if self.law is not None:
+            return self.law
         lograte = self.logbase + self.logS
         peak = lograte.max()
         if not math.isfinite(peak):
-            return 0.0, None
+            self.law = 0.0, None
+            return self.law
         if peak > _LOG_RATE_CAP:
             raise StreamError(
                 "total intensity overflowed; the configuration is explosive")
         rel = np.exp(lograte - peak)
         mass = rel.sum()
-        return float(np.exp(peak) * mass), rel.ravel() / mass
+        cdf = (rel.ravel() / mass).cumsum()
+        cdf /= cdf[-1]
+        self.law = float(np.exp(peak) * mass), cdf
+        return self.law
 
     def run(self):
         config = self.config
@@ -192,7 +224,7 @@ class _Engine:
         horizon = config.horizon if config.horizon is not None else np.inf
         target = config.n_events if config.n_events is not None else np.inf
         while len(events) < target:
-            total, probs = self._total_and_probs()
+            total, cdf = self._total_and_cdf()
             next_cross = self.crossings[0][0] if self.crossings else np.inf
             if total <= 0.0:
                 if next_cross < horizon:
@@ -211,7 +243,7 @@ class _Engine:
             if t_cand > horizon:
                 break
             t = t_cand
-            pick = self.rng.choice(len(probs), p=probs)
+            pick = _pick(cdf, self.rng)
             i, li = divmod(pick, len(self.sizes))
             L = int(self.sizes[li])
             recv = esp.sample_fixed_size(self.wrel[i], L, self.rng)
@@ -237,6 +269,17 @@ class _Engine:
             _, a, b = heapq.heappop(self.crossings)
             dirty.update(self.state.affected_pairs(a, b))
         self._refresh_pairs(dirty, t_eval)
+
+
+def _moved(old, new):
+    """Where two float64 arrays differ in bits (so -0.0 against 0.0 too)."""
+    return old.view(np.int64) != new.view(np.int64)
+
+
+def _pick(cdf, rng):
+    """An index drawn by the CDF: ``Generator.choice(p=)``'s own steps, one
+    ``random()`` and a right-sided search, without its check of p."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def simulate(config):

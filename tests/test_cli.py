@@ -152,6 +152,19 @@ class TestTraits:
                    "--traits", "dup.csv", "--out", "fit.json") == 1
         assert where in capsys.readouterr().err
 
+    @pytest.mark.parametrize("terms, name", [
+        (dict(static=["1*g", "1*g"]), "1*g"),
+        (dict(dyadic=[{"effect": "send", "form": "both"},
+                      {"effect": "send", "form": "indicator"}]), "send")],
+        ids=["static", "dyadic"])
+    def test_repeated_covariate_column_is_1(self, traited, capsys, terms,
+                                            name):
+        spec = dict(SIM_CONFIG["covariates"], **terms)
+        (traited / "dup_spec.json").write_text(json.dumps(spec))
+        assert run("fit", "--events", "t.csv", "--spec", "dup_spec.json",
+                   "--traits", "traits.csv", "--out", "fit.json") == 1
+        assert f"column '{name}' listed twice" in capsys.readouterr().err
+
     def test_static_deviance_group(self, traited):
         assert run("fit", "--events", "t.csv", "--spec", "tspec.json",
                    "--traits", "traits.csv", "--out", "fit.json",

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -107,6 +108,19 @@ class TestSpec:
         spec2 = CovariateSpec.load(str(path))
         assert spec2.term_names == spec.term_names
         assert spec2.scheme.boundaries == spec.scheme.boundaries
+
+
+    @pytest.mark.parametrize("terms, name", [
+        (dict(static_terms=["1*a", "b*a", "1*a"]), "1*a"),
+        (dict(dyadic=[("send", "both"), ("send", "indicator")]), "send"),
+        (dict(dyadic=[("receive", "binned"), ("receive", "both")]),
+         "receive[1]"),
+        (dict(triadic=[("sibling", "indicator"), ("sibling", "both")]),
+         "sibling")], ids=["static", "send", "receive-bins", "triadic"])
+    def test_repeated_column_refused(self, terms, name):
+        with pytest.raises(StreamError, match=f"column '{re.escape(name)}' "
+                                              "listed twice"):
+            CovariateSpec(**terms)
 
 
 class TestStaticDesign:
@@ -431,6 +445,96 @@ class TestPreparedRows:
         order = np.argsort(counts)
         assert design.subset(order[len(order) // 2:]).nz_val is None
         assert design.subset(order[:len(order) // 2]).nz_val is not None
+
+
+def eligible_stream(rng, actors, n, eligible, gap=10 * MIN):
+    """Events of sizes 1-3 whose receivers ``eligible(t, i)`` allows; a
+    third of them repeat the previous event's sender and time."""
+    events, t, i = [], 0.0, 0
+    for m in range(n):
+        if m == 0 or rng.random() < 2 / 3:
+            t += rng.exponential(gap)
+            i = int(rng.integers(actors))
+        pool = sorted(eligible(t, i))
+        recv = rng.choice(pool, min(len(pool), int(rng.integers(1, 4))),
+                          replace=False)
+        events.append(Event(t, i, tuple(recv.tolist())))
+    return EventStream(events, actors)
+
+
+class TestRowReuse:
+    """An event whose sender's change count and mask stand since its
+    previous event copies that event's block rows; every design equals the
+    one built with the count reporting a change at every event."""
+
+    ACTORS = 6
+    SETS = {i: {(i + d) % 6 for d in (1, 2, 4)} for i in range(6)}
+
+    @classmethod
+    def policy(cls, mode):
+        if mode == "static":
+            return RiskSetPolicy("static", static_sets=cls.SETS)
+        if mode == "callback":
+            # each half hour, a sender loses a different third of its peers
+            return RiskSetPolicy("callback", callback=lambda t, i: {
+                j for j in range(cls.ACTORS)
+                if j != i and (i + j + int(t // (30 * MIN))) % 3})
+        return RiskSetPolicy()
+
+    @pytest.mark.parametrize("mode", ["default", "static", "callback"])
+    @pytest.mark.parametrize("forms", [
+        ("indicator", "indicator"), ("binned", "binned"), ("both", "both"),
+        ("binned", "indicator")], ids="-".join)
+    def test_counted_rows_equal_built_rows(self, rng, monkeypatch, mode,
+                                           forms):
+        traits = random_traits(rng, self.ACTORS)
+        spec = CovariateSpec(static_terms=["1*a", "b*b"],
+                             dyadic=[("send", forms[0]),
+                                     ("receive", forms[1])],
+                             scheme=IntervalScheme([30 * MIN, 2 * HOUR]))
+        policy = self.policy(mode)
+        stream = eligible_stream(
+            rng, self.ACTORS, 400,
+            lambda t, i: np.flatnonzero(policy.mask(t, i, self.ACTORS)))
+        built, rows = [], DynamicState.rows
+
+        def counting(state, *args):
+            built.append(1)
+            return rows(state, *args)
+        monkeypatch.setattr(DynamicState, "rows", counting)
+        design = prepare(stream, spec, traits=traits, policy=policy)
+        reused = len(stream) - len(built)
+        ticks = iter(range(10 ** 9))
+        monkeypatch.setattr(DynamicState, "_stamp",
+                            lambda state, t, i: next(ticks))
+        built.clear()
+        assert_same_design(design, prepare(stream, spec, traits=traits,
+                                           policy=policy))
+        assert len(built) == len(stream)
+        # blocks are shared, and most shared rows are copied, not built
+        assert len(design.blk_event) < len(stream)
+        assert reused > (len(stream) - len(design.blk_event)) / 2
+
+    def test_triadic_state_keeps_no_count(self):
+        spec = CovariateSpec(dyadic=[("send", "indicator")],
+                             triadic=[("2-send", "indicator")])
+        state = DynamicState(spec, 4)
+        state.advance(Event(1.0, 0, (1,)))
+        assert state._stamp(2.0, 0) is None
+
+    def test_count_follows_read_slots(self):
+        # a record moves bins in both D rows of its pair; only an actor
+        # whose columns read a moved slot, or whose support grew, counts it
+        spec = CovariateSpec(dyadic=[("receive", "indicator")],
+                             scheme=IntervalScheme([HOUR]))
+        state = DynamicState(spec, 3)
+        stamps = lambda t: [state._stamp(t, i) for i in range(3)]
+        state.advance(Event(0.0, 0, (1,)))
+        assert stamps(0.0) == [1, 1, 0]     # support of 0 and 1
+        assert stamps(1.0) == [1, 2, 0]     # 1's receive flag of 0
+        assert stamps(2 * HOUR) == [1, 2, 0]    # bins: no column reads them
+        state.advance(Event(3 * HOUR, 0, (1,)))
+        assert stamps(4 * HOUR) == [1, 2, 0]    # the flag stands
 
 
 class TestOneIndexBuilder:

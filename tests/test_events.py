@@ -167,6 +167,20 @@ class TestTraits:
         assert full.column("LJ").tolist() == [1, 0]
         assert full.column("TF").tolist() == [0, 0]
 
+    def test_repeated_name_refused(self):
+        with pytest.raises(StreamError, match="trait 'a' named twice"):
+            ActorTraits(["a", "b", "a"], [[1, 0, 1]])
+
+    def test_product_shadowing_a_trait_refused(self, tmp_path):
+        # the product of L and J would be named LJ, which column("LJ")
+        # would never read
+        traits = ActorTraits(["L", "J", "LJ"], [[1, 1, 0], [0, 1, 1]])
+        with pytest.raises(StreamError, match="trait 'LJ' named twice"):
+            traits.with_products([("L", "J")])
+        p = write(tmp_path, "t.csv", "actor,L,J,LJ\n0,1,1,0\n1,0,1,1\n")
+        with pytest.raises(StreamError, match="trait 'LJ' named twice"):
+            ingest_traits(p, product_pairs=[("L", "J")])
+
     def test_enron_style_counts_validate(self):
         # Department (L/T/other) x seniority (J/S) x gender (F/M) cell
         # counts chosen to match the published marginals.

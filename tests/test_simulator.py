@@ -4,7 +4,9 @@ from numpy.testing import assert_allclose
 from scipy import stats
 
 from sendrate import (CovariateSpec, IntervalScheme, RiskSetPolicy, SimConfig,
-                      StreamError, esp, likelihood, prepare, simulate)
+                      StreamError, esp, likelihood, prepare, simulate,
+                      simulator)
+from sendrate.covariates import DynamicState
 from sendrate.esp import sample_fixed_size
 from sendrate.likelihood import selection_probabilities
 
@@ -248,3 +250,95 @@ class TestTriadicRefresh:
                                     np.arange(design.n_events))
         want = np.exp(S - likelihood._top_shift(S, 1)[:, None])
         assert np.abs(np.array(drawn) - want).max() <= 1e-12
+
+
+def triadic_config(n_events):
+    spec = CovariateSpec(dyadic=[("send", "both"), ("receive", "indicator")],
+                         triadic=[("2-send", "both"), ("sibling", "binned"),
+                                  ("cosibling", "indicator")],
+                         scheme=IntervalScheme([600.0, 3600.0]))
+    beta = np.random.default_rng(12).normal(-0.1, 0.1, size=spec.dim)
+    return SimConfig(actor_count=12, beta_true=beta, spec=spec, seed=3,
+                     baseline=0.01, size_weights={1: 1.0, 2: 0.4, 3: 0.2},
+                     n_events=n_events)
+
+
+class TestWorkFollowsChanges:
+    """A pair's row is recomputed only when its sender's change count
+    moved, a sender is refreshed only when one of its log-weights changed
+    bits, and the total rate and the CDF of the (sender, size) pick stand
+    until a sender is refreshed; none of it changes a stream."""
+
+    CONFIGS = {
+        "indicators": lambda: SimConfig(
+            actor_count=10, beta_true=[0.8, 0.4], spec=send_recv_spec(),
+            seed=99, baseline=0.01, size_weights={1: 1.0, 2: 0.08},
+            n_events=400),
+        "binned": lambda: SimConfig(
+            actor_count=6, beta_true=[-1.0, 0.3, 0.2, 0.5, 0.1], seed=7,
+            spec=CovariateSpec(dyadic=[("send", "binned"),
+                                       ("receive", "both")],
+                               scheme=IntervalScheme([600.0])),
+            baseline=0.002, size_weights={1: 1.0, 3: 0.3}, n_events=400),
+        "triadic": lambda: triadic_config(300),
+        "static-sets": lambda: SimConfig(
+            actor_count=4, beta_true=np.array([-800.0, 0.0]), seed=4,
+            spec=CovariateSpec(dyadic=[("send", "binned")],
+                               scheme=IntervalScheme([60.0])),
+            baseline=[1.0, 0.0, 0.0, 0.0], size_weights={2: 1.0},
+            n_events=6, policy=RiskSetPolicy("static", static_sets={
+                0: {1, 2, 3}, 1: {0}, 2: {0}, 3: set()})),
+    }
+
+    @staticmethod
+    def run(cfg, monkeypatch):
+        """The stream, and how many sender refreshes made it."""
+        refreshes, refresh = [], simulator._Engine._refresh_sender
+
+        def counting(engine, i):
+            refreshes.append(i)
+            refresh(engine, i)
+        monkeypatch.setattr(simulator._Engine, "_refresh_sender", counting)
+        events = [(e.time, e.sender, e.receivers) for e in simulate(cfg)]
+        return events, len(refreshes)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_full_refresh_gives_the_same_stream(self, monkeypatch, name):
+        cfg = self.CONFIGS[name]()
+        events, refreshes = self.run(cfg, monkeypatch)
+        total = simulator._Engine._total_and_cdf
+
+        def fresh(engine):
+            engine.law = None
+            return total(engine)
+        monkeypatch.setattr(simulator, "_moved",
+                            lambda old, new: np.ones(len(new), dtype=bool))
+        monkeypatch.setattr(DynamicState, "_stamp", lambda state, t, i: None)
+        monkeypatch.setattr(simulator._Engine, "_total_and_cdf", fresh)
+        forced, all_refreshes = self.run(cfg, monkeypatch)
+        assert forced == events
+        if name == "indicators":
+            assert refreshes < all_refreshes / 2
+
+    def test_pick_is_generator_choice(self, rng):
+        # the engine's CDF and pick take Generator.choice(p=)'s own steps
+        # on the per-(sender, size) probabilities: the same index and the
+        # same generator state, draw for draw
+        engine = simulator._Engine(self.CONFIGS["binned"]())
+        for trial in range(20):
+            engine.logS = rng.normal(0.0, 3.0, size=engine.logS.shape)
+            engine.logS[rng.random(engine.logS.shape) < 0.2] = -np.inf
+            engine.law = None
+            total, cdf = engine._total_and_cdf()
+            lograte = engine.logbase + engine.logS
+            rel = np.exp(lograte - lograte.max())
+            assert total == float(np.exp(lograte.max()) * rel.sum())
+            probs = rel.ravel() / rel.sum()
+            ours, theirs = (np.random.Generator(np.random.Philox(trial))
+                            for _ in range(2))
+            for _ in range(300):
+                pick = simulator._pick(cdf, ours)
+                assert pick == theirs.choice(len(probs), p=probs)
+                assert probs[pick] > 0
+            assert np.array_equal(ours.bit_generator.random_raw(8),
+                                  theirs.bit_generator.random_raw(8))
