@@ -276,14 +276,14 @@ class DynamicState:
                 self._pairs.append((a, b))
             if not self._seen[a, b]:
                 self._seen[a, b] = True
-                # the support depends only on which pairs ever interacted;
-                # it is symmetric, so v joins u's row just as u joins v's
+                # the support depends only on which pairs ever interacted
                 for u, near in self._links(a, b):
-                    fresh = np.flatnonzero(near & ~self._active[u])
-                    self._active[u, fresh] = self._active[fresh, u] = True
-                    if self._count is not None and len(fresh):
-                        for v in [u] + fresh.tolist():
+                    if self._count is not None:
+                        # symmetric: v joins u's row just as u joins v's
+                        fresh = np.flatnonzero(near & ~self._active[u])
+                        for v in [u] * bool(len(fresh)) + fresh.tolist():
                             self._count[v] += 1
+                    self._active[u, near] = self._active[near, u] = True
         self.current_time = t
 
     def _links(self, a, b):
@@ -333,20 +333,18 @@ class DynamicState:
         strict past, which sets its pair's visibility flags."""
         a, b = self._pairs[r]
         D, K1 = self.D, self._K1
-        moved = k       # the entry of _hits
+        if self._count is not None:
+            # a move 0 that finds the flags set changes slot 1 alone
+            hit_a, hit_b = self._hits[-1 if not k and D[a, b, 0] else k]
+            self._count[a] += hit_a
+            self._count[b] += hit_b
         if k:
             D[a, b, k] -= 1.0
             D[b, a, K1 + k] -= 1.0
-        elif D[a, b, 0]:
-            moved = -1
         else:
             D[a, b, 0] = D[b, a, K1] = 1.0
         D[a, b, k + 1] += 1.0
         D[b, a, K1 + k + 1] += 1.0
-        if self._count is not None:
-            hit_a, hit_b = self._hits[moved]
-            self._count[a] += hit_a
-            self._count[b] += hit_b
 
     # -- queries (strict past: records at exactly t do not count) ---------
 
