@@ -281,8 +281,9 @@ class DynamicState:
                     if self._count is not None:
                         # symmetric: v joins u's row just as u joins v's
                         fresh = np.flatnonzero(near & ~self._active[u])
-                        for v in [u] * bool(len(fresh)) + fresh.tolist():
-                            self._count[v] += 1
+                        if len(fresh):
+                            for v in [u, *fresh.tolist()]:
+                                self._count[v] += 1
                     self._active[u, near] = self._active[near, u] = True
         self.current_time = t
 
