@@ -18,7 +18,7 @@ from . import __version__, bootstrap, diagnostics, solver
 from .covariates import CovariateSpec
 from .design import prepare
 from .events import (StreamError, export_events, ingest_events, ingest_traits,
-                     write_id_map)
+                     require_keys, write_id_map)
 from .simulator import SimConfig, simulate, write_truth
 
 EX_OK, EX_DATA, EX_NOCONV, EX_IDENT, EX_USAGE = 0, 1, 2, 3, 64
@@ -169,6 +169,9 @@ def cmd_simulate(args):
     started = time.monotonic()
     with open(args.config) as fh:
         obj = json.load(fh)
+    require_keys(obj, (), "simulation config")
+    if not isinstance(obj.get("traits") or "", str):
+        raise StreamError("simulation config: traits: expected a file path")
     traits = ingest_traits(obj["traits"]) if obj.get("traits") else None
     config = SimConfig.from_json(obj, traits=traits)
     if args.seed is not None:

@@ -14,11 +14,12 @@ outside the support has a zero dynamic part.
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
 likelihood evaluates each block's normalizer and moments once per
-receiver-set size (once in all under duplication).  Where the state keeps
-a change count (no triadic terms, see ``DynamicState``), an event whose
-sender's count and mask equal those at the sender's previous event joins
-that event's block and copies the block's rows without building them; any
-other event builds its rows and compares them with the block's.
+receiver-set size (once in all under duplication).  The rows are stored
+once per block, so they grow with the state changes, not with the events.
+Where the state keeps a change count (no triadic terms, see
+``DynamicState``), an event whose sender's count and mask equal those at
+the sender's previous event joins that event's block without building its
+rows; any other event builds them and compares them with the block's.
 
 The covariate state behind the replay is ``DynamicState``: a dense tensor
 of per-pair bin counts and visibility flags, 2*A^2*(K+1) doubles, which K
@@ -45,14 +46,14 @@ class ReceiverOutsideRiskSet(StreamError):
 class PreparedDesign:
     """Flat arrays describing the stream for likelihood evaluation.
 
-    Attributes (n events, R sparse rows, p columns, A actors):
+    Attributes (n events, B blocks, R block rows, p columns, A actors):
       ev_class    (n,)  sender class per event
       ev_sender   (n,)
       ev_size     (n,)  receiver-set size
       xsum        (n,p) sum of design rows over the observed receivers
       xtot        (p,)  column totals of xsum
-      row_start   (n+1,) CSR offsets into the row arrays
-      row_j       (R,)  receiver id per sparse row (sorted within an event):
+      blk_start   (B+1,) CSR offsets of each block's rows in the row arrays
+      row_j       (R,)  receiver id per sparse row (sorted within a block):
                         the sender's support and every ineligible actor
       row_inrisk  (R,)  eligibility flag; risk_mask(m) rebuilds the mask
       dX          (R,p) dynamic design rows (static columns zero)
@@ -66,20 +67,20 @@ class PreparedDesign:
                         smallest unsigned dtype that holds K - 1
       nz_val      (N,)  their values, in dX's dtype
       recv_start/(n+1,), recv_j: observed receiver ids, CSR
-      ev_block    (n,)  block id per event
-      blk_event   (B,)  first event of each block (its rows are the block's)
+      ev_block    (n,)  block id per event; event_rows(m) are its block's
+      blk_event   (B,)  first event of each block
 
     Every entry of dX is a count, a product of counts or a 0/1 flag, so
     int16 holds it exactly at a quarter of float64's bytes; the first event
     with an entry above 32,767 widens the rows once to float64.  The replay
-    starts the rows at one per event and doubles them in place whenever an
-    event's rows would pass the end, then trims them to R.  Readers
-    accept any numeric dX and upcast a chunk of rows at a time.  The CSR
-    holds the same entries, for readers whose cost should follow the
-    non-zeros (the single-receiver moments, see ``likelihood``);
-    ``copy_with`` rebuilds it from a new dX.  Only this module reads these
-    arrays: others take a chunk's rows through ``chunk_rows`` and
-    ``chunk_nonzeros``.
+    starts the rows at one per event and grows them in place by an eighth
+    (``resize`` zero-fills what it adds) whenever a new block's rows would
+    pass the end, then trims them to R.  Readers accept any numeric dX and
+    upcast a chunk of rows at a time.  The CSR holds the same entries, for
+    readers whose cost should follow the non-zeros (the single-receiver
+    moments, see ``likelihood``); ``copy_with`` rebuilds it from a new dX.
+    Only this module reads these arrays: others take a chunk's rows through
+    ``chunk_rows`` and ``chunk_nonzeros``.
     """
 
     def __init__(self, spec, static, stream, policy):
@@ -105,13 +106,11 @@ class PreparedDesign:
             (j for ev in stream for j in ev.receivers), dtype=np.intp,
             count=recv_start[n])
 
-        self.row_start = row_start = np.zeros(n + 1, dtype=np.intp)
         row_j_parts, row_risk_parts = [], []
-        dX = np.empty((n, p), dtype=np.int16)   # doubled in place below
+        dX = np.empty((n, p), dtype=np.int16)   # grown in place below
         self.ev_block = ev_block = np.empty(n, dtype=np.intp)
-        blk_event = []
-        # sender -> its previous event's block id, that block's js, inrisk
-        # and first row, and the event's state stamp and mask
+        blk_start = [0]
+        # sender -> its previous event's block id, state stamp and mask
         last_block = {}
 
         state = DynamicState(spec, A)
@@ -124,12 +123,9 @@ class PreparedDesign:
                     f"event {m}: receiver {recv[~mask[recv]][0]} outside "
                     f"risk set of sender {i}")
             stamp = state._stamp(t, i)
-            prev = last_block.get(i)
-            if (prev is not None and stamp is not None and prev[4] == stamp
-                    and np.array_equal(prev[5], mask)):
-                block, js, inrisk, first = prev[:4]
-                dx = None       # the block's rows, copied below
-            else:
+            block, old_stamp, old_mask = last_block.get(i, (None,) * 3)
+            if (stamp is None or stamp != old_stamp
+                    or not np.array_equal(old_mask, mask)):
                 support = state.support(i)
                 js = np.flatnonzero(support | ~mask)
                 inrisk = mask[js]
@@ -138,33 +134,30 @@ class PreparedDesign:
                 # i->h->i
                 dx = state.rows(t, i, js)
                 dx[~support[js]] = 0.0
-                if (prev is not None and np.array_equal(prev[1], js)
-                        and np.array_equal(prev[2], inrisk)
-                        and np.array_equal(dX[prev[3]:prev[3] + len(js)],
-                                           dx)):
-                    block, first = prev[0], prev[3]
-                else:
-                    block, first = len(blk_event), row_start[m]
-                    blk_event.append(m)
+                if (block is None or not np.array_equal(row_j_parts[block], js)
+                        or not np.array_equal(row_risk_parts[block], inrisk)
+                        or not np.array_equal(
+                            dX[blk_start[block]:blk_start[block + 1]], dx)):
+                    block, lo = len(row_j_parts), blk_start[-1]
+                    hi = lo + len(js)
+                    # triadic products of counts can outgrow int16
+                    if dX.dtype == np.int16 and dx.max(initial=0) > 32767:
+                        dX = dX[:lo].astype(np.float64)
+                    if hi > len(dX):
+                        dX.resize((hi + hi // 8, p), refcheck=False)
+                    dX[lo:hi] = dx
+                    blk_start.append(hi)
+                    row_j_parts.append(js)
+                    row_risk_parts.append(inrisk)
             ev_block[m] = block
-            last_block[i] = (block, js, inrisk, first, stamp, mask)
-            row_start[m + 1] = row_start[m] + len(js)
-            # triadic products of counts can outgrow int16 on a long stream
-            if (dx is not None and dX.dtype == np.int16
-                    and dx.max(initial=0) > 32767):
-                dX = dX[:row_start[m]].astype(np.float64)
-            if row_start[m + 1] > len(dX):
-                dX.resize((2 * row_start[m + 1], p), refcheck=False)
-            dX[row_start[m]:row_start[m + 1]] = (
-                dX[first:first + len(js)] if dx is None else dx)
-            row_j_parts.append(js)
-            row_risk_parts.append(inrisk)
+            last_block[i] = (block, stamp, mask)
             state.advance(ev)
 
-        self.blk_event = np.asarray(blk_event, dtype=np.intp)
+        self.blk_event = np.unique(ev_block, return_index=True)[1]
+        self.blk_start = np.asarray(blk_start, dtype=np.intp)
         self.row_j = np.concatenate(row_j_parts)
         self.row_inrisk = np.concatenate(row_risk_parts)
-        dX.resize((row_start[n], p), refcheck=False)
+        dX.resize((blk_start[-1], p), refcheck=False)
         self.dX = dX
         self.nz_columns = np.arange(spec.static_dim, p)
         self.nz_start, self.nz_col, self.nz_val = _nonzeros(
@@ -181,7 +174,8 @@ class PreparedDesign:
 
     def event_rows(self, m):
         """(receiver ids, dynamic rows, eligibility) for event m."""
-        s, e = self.row_start[m], self.row_start[m + 1]
+        b = self.ev_block[m]
+        s, e = self.blk_start[b], self.blk_start[b + 1]
         return self.row_j[s:e], self.dX[s:e], self.row_inrisk[s:e]
 
     def dense_x(self, m):
@@ -218,18 +212,20 @@ class PreparedDesign:
         return flat, row, self.nz_col[ent], self.nz_val[ent].astype(float)
 
     def _grid(self, events):
-        rows, k = _ranges(self.row_start[events], self.row_start[events + 1])
+        blocks = self.ev_block[events]
+        rows, k = _ranges(self.blk_start[blocks], self.blk_start[blocks + 1])
         return rows, k * self.actor_count + self.row_j[rows]
 
     def xsum_of(self, recv_j):
         """Design-row sums over receiver ids laid out as ``recv_j``.  Entries
         are integers (counts, flags, products): any summing order is exact."""
-        n, A = self.n_events, self.actor_count
-        ev = np.repeat(np.arange(n), np.diff(self.recv_start))
-        # sorted, as row_j is within each event; the last entry is past all
-        key = np.append(self._grid(np.arange(n))[1], n * A)
-        pos = np.searchsorted(key, ev * A + recv_j)
-        hit = key[pos] == ev * A + recv_j
+        A, B = self.actor_count, len(self.blk_event)
+        ev = np.repeat(np.arange(self.n_events), np.diff(self.recv_start))
+        # sorted, as row_j is within each block; the last entry is past all
+        key = np.append(self._grid(self.blk_event)[1], B * A)
+        want = self.ev_block[ev] * A + recv_j
+        pos = np.searchsorted(key, want)
+        hit = key[pos] == want
         rows = self.static._x0[self.ev_class[ev], recv_j]
         rows[hit] += self.dX[pos[hit]]
         return np.add.reduceat(rows, self.recv_start[:-1])
@@ -272,7 +268,8 @@ class PreparedDesign:
 #: 80 (0.055): 0.40, 156 (0.021): 0.33.  Order 1 ran faster sparse on all
 #: of them.  Below 0.1 the sparse path won everywhere; a design that would
 #: gain between 0.1 and its crossover keeps the dense one, and a dense
-#: design pays neither the CSR's memory nor its build.
+#: design pays neither the CSR's memory nor its build.  The share counts
+#: each block's rows once, as the likelihood reads them.
 _SPARSE_BELOW = 0.1
 
 

@@ -10,8 +10,8 @@ Three variants share one prepared design and one kernel:
   symmetric polynomial e_L of the risk-set weights.
 
 The single-receiver law is the size-1 fixed-size law, so the kernel runs
-over *units*: a block of events with identical sparse rows (and so the same
-weights), a law size L and a multiplicity.  The first two variants take one
+over *units*: a block of events with identical sparse rows (stored once
+per block, and so the same weights), a law size L and a multiplicity.  The first two variants take one
 unit per block at L = 1, counted per receiver slot; the exact one takes one
 per (block, size) pair, counted per event.  A unit's weights are shifted so
 that its heaviest size-L subset weighs 1 (1 <= e_L <= C(A, L)), and its

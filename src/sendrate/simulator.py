@@ -56,8 +56,8 @@ class SimConfig:
         sizes = sorted(self.size_weights)
         if not sizes or sizes[0] < 1:
             raise StreamError("set sizes must be positive")
-        if any(q < 0 for q in self.size_weights.values()):
-            raise StreamError("size weights must be nonnegative")
+        if not all(0 <= q < math.inf for q in self.size_weights.values()):
+            raise StreamError("size_weights must be finite and nonnegative")
         self.beta_true = np.asarray(self.beta_true, dtype=np.float64)
         if self.beta_true.shape != (self.spec.dim,):
             raise StreamError("beta_true length does not match the covariate spec")
@@ -71,8 +71,8 @@ class SimConfig:
     def baseline_vector(self):
         lam = np.broadcast_to(np.asarray(self.baseline, dtype=np.float64),
                               (self.actor_count,)).copy()
-        if (lam < 0).any():
-            raise StreamError("baseline rates must be nonnegative")
+        if not ((0 <= lam) & (lam < np.inf)).all():
+            raise StreamError("baseline must be finite and nonnegative")
         return lam
 
     def with_seed(self, seed):

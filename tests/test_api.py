@@ -141,7 +141,7 @@ def test_public_options_are_pinned():
 # How a design stores its rows: only ``design.py`` reads these attributes;
 # other modules go through ``PreparedDesign.chunk_rows`` and
 # ``chunk_nonzeros``, so a new store changes one module.
-ROW_STORE = re.compile(r"\.(dX|row_start|row_j|row_inrisk|nz_start|nz_col|nz_val)\b")
+ROW_STORE = re.compile(r"\.(dX|blk_start|row_j|row_inrisk|nz_start|nz_col|nz_val)\b")
 
 
 def test_only_design_reads_the_row_store():

@@ -121,7 +121,8 @@ class TestReplicateDesign:
         stream = EventStream(events, actors, traits=random_traits(rng, actors))
         design = prepare(stream, spec,
                          policy=RiskSetPolicy("static", static_sets=sets))
-        assert (~design.row_inrisk).sum() == 3 * design.n_events
+        assert sum((~design.event_rows(m)[2]).sum()
+                   for m in range(design.n_events)) == 3 * design.n_events
         # integer entries, which the vectorised sums rely on to be exact
         assert np.array_equal(design.dX, np.round(design.dX))
         assert np.array_equal(design.static._x0, np.round(design.static._x0))

@@ -226,6 +226,20 @@ class TestExitCodes:
         (workdir / "bad_sim.json").write_text(json.dumps(sim))
         assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
 
+    def test_sim_config_not_an_object_is_1(self, workdir, capsys):
+        (workdir / "bad_sim.json").write_text("[1, 2]")
+        assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
+        assert "expected a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("traits", [5, True, ["t.csv"]])
+    def test_sim_config_traits_not_a_path_is_1(self, workdir, capsys, traits):
+        # an integer would be opened as a file descriptor
+        (workdir / "bad_sim.json").write_text(
+            json.dumps(dict(SIM_CONFIG, traits=traits)))
+        assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "traits" in err
+
     @pytest.mark.parametrize("time", ["nan", "inf"])
     def test_nonfinite_event_time_is_1(self, workdir, capsys, time):
         run("simulate", "--config", "sim.json", "--out", "e.csv")
@@ -311,7 +325,11 @@ class TestExitCodes:
         ("n_events", "x"),
         ("seed", "x"),
         ("horizon", "x"),
-        ("beta_true", [float("nan"), 0.4])])
+        ("beta_true", [float("nan"), 0.4]),
+        ("size_weights", {"1": float("nan")}),
+        ("size_weights", {"1": 1.0, "2": float("inf")}),
+        ("baseline", float("inf")),
+        ("baseline", [float("nan")] * 10)])
     def test_sim_config_with_bad_value_is_1(self, workdir, capsys, field, value):
         (workdir / "bad_sim.json").write_text(
             json.dumps(dict(SIM_CONFIG, **{field: value})))

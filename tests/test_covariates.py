@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 from sendrate import (ActorTraits, CovariateSpec, Event, EventStream,
                       IntervalScheme, RiskSetPolicy, StaticDesign, StreamError,
                       dense_oracle, evaluate, prepare, second_order_static_terms)
+from sendrate import design as design_module
 from sendrate.covariates import DEFAULT_BOUNDARIES, DynamicState
 
 from conftest import (brute_covariates, covariate_vector, random_stream,
@@ -317,17 +319,17 @@ class TestSparseDenseEquivalence:
 
 class TestPreparedRows:
     def test_rows_grow_in_place(self, rng):
-        # the rows start at one per event and double as they outgrow it;
-        # every event keeps the rows the state gave it (zero at the sender,
-        # which is outside the support), trimmed to R
+        # the rows start at one per event and grow by an eighth as they
+        # outgrow it; every event reads the rows the state gave it (zero at
+        # the sender, which is outside the support), trimmed to R
         actors = 6
         spec = TestSparseDenseEquivalence().full_spec()
         stream = random_stream(rng, actors=actors, n=200, max_size=3,
                                gap=10 * MIN)
         design = prepare(stream, spec)
-        assert design.dX.shape == (design.row_start[-1], spec.dim)
+        assert design.dX.shape == (design.blk_start[-1], spec.dim)
         assert design.dX.dtype == np.int16
-        assert design.row_start[-1] > 2 * len(stream)
+        assert design.blk_start[-1] > 2 * len(stream)
         state = DynamicState(spec, actors)
         for m, e in enumerate(stream):
             js, dx, _ = design.event_rows(m)
@@ -335,6 +337,72 @@ class TestPreparedRows:
             want[js == e.sender] = 0.0
             assert np.array_equal(dx, want)
             state.advance(e)
+
+    @pytest.mark.parametrize("triadic", [[], [("2-send", "indicator")]],
+                             ids=["stamped", "compared"])
+    def test_each_block_stores_its_rows_once(self, rng, triadic):
+        # dyadic terms share blocks through the state's change count,
+        # triadic ones through comparing built rows with the block's; the
+        # row arrays hold each block's rows once, and every event reads its
+        # block's rows, which are the rows the state gives it
+        actors = 5
+        spec = CovariateSpec(dyadic=[("send", "indicator"),
+                                     ("receive", "indicator")],
+                             triadic=triadic)
+        stream = random_stream(rng, actors=actors, n=300, max_size=2,
+                               gap=20 * MIN)
+        design = prepare(stream, spec)
+        B = len(design.blk_event)
+        assert B < design.n_events / 2
+        state, sizes = DynamicState(spec, actors), np.zeros(B, dtype=int)
+        assert (state._stamp(0.0, 0) is None) == bool(triadic)
+        for m, e in enumerate(stream):
+            b = design.ev_block[m]
+            rows = slice(design.blk_start[b], design.blk_start[b + 1])
+            js, dx, inrisk = design.event_rows(m)
+            assert np.array_equal(js, design.row_j[rows])
+            assert np.array_equal(dx, design.dX[rows])
+            assert np.array_equal(inrisk, design.row_inrisk[rows])
+            support = state.support(e.sender)
+            want = np.flatnonzero(support | (np.arange(actors) == e.sender))
+            assert np.array_equal(js, want)
+            assert np.array_equal(inrisk, js != e.sender)
+            built = state.rows(e.time, e.sender, js)
+            built[~support[js]] = 0.0
+            assert np.array_equal(dx, built)
+            sizes[b] = len(js)
+            state.advance(e)
+        assert len(design.dX) == design.blk_start[-1] == sizes.sum()
+        assert len(design.row_j) == len(design.row_inrisk) == sizes.sum()
+
+    def test_replay_peak_bounded_by_one_growth_step(self, monkeypatch):
+        # by the end of the replay (where the non-zeros are counted) the
+        # rows are trimmed to R; before it they grew by an eighth at most,
+        # so the replay's peak passes what it then holds by an eighth of
+        # the rows, plus a few of one event's float64 rows
+        rng = np.random.default_rng(5)
+        actors, names = 20, ("a", "b", "c", "d", "e", "f")
+        spec = CovariateSpec(static_terms=second_order_static_terms(names),
+                             dyadic=[("send", "indicator"),
+                                     ("receive", "indicator")])
+        stream = random_stream(rng, actors=actors, n=2000, gap=60.0,
+                               traits=random_traits(rng, actors, names))
+        at_end = []
+
+        def counted(dX, columns):
+            at_end.append(tracemalloc.get_traced_memory())
+            return nonzeros(dX, columns)
+        nonzeros = design_module._nonzeros
+        monkeypatch.setattr(design_module, "_nonzeros", counted)
+        tracemalloc.start()
+        try:
+            design = prepare(stream, spec)
+        finally:
+            tracemalloc.stop()
+        (held, peak), = at_end
+        assert len(design.blk_event) < design.n_events / 2
+        one_row = 8 * spec.dim
+        assert peak - held <= design.dX.nbytes // 8 + 4 * actors * one_row
 
     def test_counts_past_int16_widen_the_rows(self):
         # 200 messages 0->1, then 200 messages 1->2, all in bin 1 at the
@@ -464,8 +532,9 @@ def eligible_stream(rng, actors, n, eligible, gap=10 * MIN):
 
 class TestRowReuse:
     """An event whose sender's change count and mask stand since its
-    previous event copies that event's block rows; every design equals the
-    one built with the count reporting a change at every event."""
+    previous event joins that event's block without building rows; every
+    design equals the one built with the count reporting a change at every
+    event."""
 
     ACTORS = 6
     SETS = {i: {(i + d) % 6 for d in (1, 2, 4)} for i in range(6)}
@@ -511,7 +580,7 @@ class TestRowReuse:
         assert_same_design(design, prepare(stream, spec, traits=traits,
                                            policy=policy))
         assert len(built) == len(stream)
-        # blocks are shared, and most shared rows are copied, not built
+        # blocks are shared, and most events that share one build no rows
         assert len(design.blk_event) < len(stream)
         assert reused > (len(stream) - len(design.blk_event)) / 2
 
@@ -606,7 +675,7 @@ class TestOneIndexBuilder:
 def assert_same_design(got, want):
     assert got.dX.dtype == want.dX.dtype
     assert np.asarray(got.nz_val).dtype == np.asarray(want.nz_val).dtype
-    for name in ("dX", "row_j", "row_inrisk", "row_start", "xsum",
+    for name in ("dX", "row_j", "row_inrisk", "blk_start", "xsum",
                  "ev_block", "blk_event", "ev_class", "ev_sender", "ev_size",
                  "recv_start", "recv_j", "nz_start", "nz_columns", "nz_col",
                  "nz_val"):

@@ -613,11 +613,9 @@ class TestSenderSnapshot:
         pi0 /= pi0.sum(axis=1)[:, None]
         probs = selection_probabilities(design, beta)
         for m in range(design.n_events):
-            rows = slice(design.row_start[m], design.row_start[m + 1])
             base = pi0[design.ev_class[m]]
-            j = design.row_j[rows]
-            z = np.where(design.row_inrisk[rows], design.dX[rows] @ beta,
-                         -np.inf)
+            j, dx, inrisk = design.event_rows(m)
+            z = np.where(inrisk, dx @ beta, -np.inf)
             delta_w = base[j] * np.expm1(z)
             gamma = 1.0 / (1.0 + delta_w.sum())
             delta_pi = gamma * delta_w
@@ -757,8 +755,8 @@ class TestSingleLawPaths:
         # a sender's first event has only its own row, which is zero
         stream = random_stream(rng, actors=6, n=40, max_size=2, gap=20 * MIN)
         design = prepare(stream, basic_spec())
-        per_event = np.add.reduceat(np.count_nonzero(design.dX, axis=1),
-                                    design.row_start[:-1])
+        per_event = np.array([np.count_nonzero(design.event_rows(m)[1])
+                              for m in range(design.n_events)])
         assert (per_event == 0).any() and (per_event > 0).any()
         assert_matches_oracle(design, rng.normal(0, 0.4, size=design.p))
 
