@@ -103,12 +103,18 @@ def bootstrap_bias(design, fit_result=None, config=None):
     Fits the duplication likelihood if no fit is supplied, draws R replicate
     streams from the fitted selection law, refits each warm-started at the
     original estimate, and reports mean(replicates) - original as the bias.
+    A supplied fit must be an approx or pairwise one of the design's terms.
     Deterministic for a fixed seed and configuration.
     """
     config = config or BootstrapConfig()
     refit = solver.SolverConfig(max_iters=_REFIT_MAX_ITERS)
     if fit_result is None:
         fit_result = solver.fit(design, "approx_multicast")
+    elif fit_result.variant not in ("approx_multicast", "pairwise"):
+        raise StreamError(f"bootstrap: fit variant {fit_result.variant!r} "
+                          "is not approx_multicast or pairwise")
+    elif list(fit_result.term_names) != list(design.term_names):
+        raise StreamError("bootstrap: fit terms do not match the design's")
     beta = fit_result.beta
     probs = likelihood.selection_probabilities(design, beta)
     # the approx information at beta does not depend on the receiver sets:

@@ -170,9 +170,10 @@ def cmd_simulate(args):
     with open(args.config) as fh:
         obj = json.load(fh)
     require_keys(obj, (), "simulation config")
-    if not isinstance(obj.get("traits") or "", str):
+    traits = obj.get("traits")
+    if not isinstance(traits, (str, type(None))):
         raise StreamError("simulation config: traits: expected a file path")
-    traits = ingest_traits(obj["traits"]) if obj.get("traits") else None
+    traits = ingest_traits(traits) if traits else None
     config = SimConfig.from_json(obj, traits=traits)
     if args.seed is not None:
         config = config.with_seed(args.seed)

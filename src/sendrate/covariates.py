@@ -140,19 +140,24 @@ class CovariateSpec:
     def from_json(cls, obj):
         require_keys(obj, (), "covariate spec")
 
-        def pairs(entries):
-            for d in entries:
+        def entries(key):
+            value = obj.get(key, [])
+            if not isinstance(value, list):
+                raise StreamError(f"covariate spec: {key}: expected a list")
+            return value
+
+        def pairs(key):
+            for d in entries(key):
                 require_keys(d, ("effect",), "covariate spec entry")
-            return [(d["effect"], d.get("form", "indicator")) for d in entries]
+            return [(d["effect"], d.get("form", "indicator"))
+                    for d in entries(key)]
         try:
-            scheme = IntervalScheme(obj.get("intervals_seconds")
-                                    or DEFAULT_BOUNDARIES)
+            scheme = IntervalScheme(obj.get("intervals_seconds",
+                                            DEFAULT_BOUNDARIES))
         except StreamError as exc:
             raise StreamError(f"intervals_seconds: {exc}") from None
-        return cls(static_terms=obj.get("static", ()),
-                   dyadic=pairs(obj.get("dyadic", ())),
-                   triadic=pairs(obj.get("triadic", ())),
-                   scheme=scheme)
+        return cls(static_terms=entries("static"), dyadic=pairs("dyadic"),
+                   triadic=pairs("triadic"), scheme=scheme)
 
     @classmethod
     def load(cls, path):

@@ -4,12 +4,12 @@ flat per-event arrays the likelihood can evaluate repeatedly.
 The replay records, for every event, the sender's class, the observed
 receiver set, and the sparse dynamic rows (receiver id, dynamic design row,
 risk-set eligibility) that add to the sender class's static design over the
-full actor set.  One path builds them from two boolean vectors over the
-actors, the policy's eligibility ``mask`` at that instant and the sender's
-sparse ``support``: the rows are support | ~mask (under the default policy,
-the support plus the sender).  A row outside the mask carries its
-eligibility flag, since the static design covers every actor; a row
-outside the support has a zero dynamic part.
+full actor set.  The rows are support | ~mask, from the policy's
+eligibility ``mask`` at that instant and the sender's sparse ``support``
+(under the default policy, the support plus the sender): a row outside the
+support has a zero dynamic part, and one outside the mask is flagged
+ineligible, so the search for the observed receivers' rows that sums
+``xsum`` after the replay also finds any receiver outside its risk set.
 
 An event whose sparse rows equal those of its sender's previous event
 shares that event's block: the two see the same risk-set weights, so the
@@ -106,22 +106,15 @@ class PreparedDesign:
             (j for ev in stream for j in ev.receivers), dtype=np.intp,
             count=recv_start[n])
 
-        row_j_parts, row_risk_parts = [], []
+        row_j_parts, row_risk_parts, blk_event, blk_start = [], [], [], [0]
         dX = np.empty((n, p), dtype=np.int16)   # grown in place below
         self.ev_block = ev_block = np.empty(n, dtype=np.intp)
-        blk_start = [0]
-        # sender -> its previous event's block id, state stamp and mask
-        last_block = {}
+        last_block = {}  # sender -> its previous event's (block, stamp, mask)
 
         state = DynamicState(spec, A)
         for m, ev in enumerate(stream):
             i, t = ev.sender, ev.time
             mask = policy.mask(t, i, A)
-            recv = recv_j[recv_start[m]:recv_start[m + 1]]
-            if not mask[recv].all():
-                raise ReceiverOutsideRiskSet(
-                    f"event {m}: receiver {recv[~mask[recv]][0]} outside "
-                    f"risk set of sender {i}")
             stamp = state._stamp(t, i)
             block, old_stamp, old_mask = last_block.get(i, (None,) * 3)
             if (stamp is None or stamp != old_stamp
@@ -129,9 +122,8 @@ class PreparedDesign:
                 support = state.support(i)
                 js = np.flatnonzero(support | ~mask)
                 inrisk = mask[js]
-                # rows only on the support: a masked-out actor outside it
-                # keeps a zero row, where rows(t, i, [i]) would count paths
-                # i->h->i
+                # rows only on the support: a masked-out actor outside
+                # it keeps a zero row (rows(t, i, [i]) counts i->h->i)
                 dx = state.rows(t, i, js)
                 dx[~support[js]] = 0.0
                 if (block is None or not np.array_equal(row_j_parts[block], js)
@@ -147,13 +139,14 @@ class PreparedDesign:
                         dX.resize((hi + hi // 8, p), refcheck=False)
                     dX[lo:hi] = dx
                     blk_start.append(hi)
+                    blk_event.append(m)
                     row_j_parts.append(js)
                     row_risk_parts.append(inrisk)
             ev_block[m] = block
             last_block[i] = (block, stamp, mask)
             state.advance(ev)
 
-        self.blk_event = np.unique(ev_block, return_index=True)[1]
+        self.blk_event = np.asarray(blk_event, dtype=np.intp)
         self.blk_start = np.asarray(blk_start, dtype=np.intp)
         self.row_j = np.concatenate(row_j_parts)
         self.row_inrisk = np.concatenate(row_risk_parts)
@@ -217,8 +210,9 @@ class PreparedDesign:
         return rows, k * self.actor_count + self.row_j[rows]
 
     def xsum_of(self, recv_j):
-        """Design-row sums over receiver ids laid out as ``recv_j``.  Entries
-        are integers (counts, flags, products): any summing order is exact."""
+        """Design-row sums over receiver ids laid out as ``recv_j`` (integer
+        entries: any order sums exactly); refused at the first receiver
+        outside its risk set, which is a block row flagged ineligible."""
         A, B = self.actor_count, len(self.blk_event)
         ev = np.repeat(np.arange(self.n_events), np.diff(self.recv_start))
         # sorted, as row_j is within each block; the last entry is past all
@@ -226,6 +220,12 @@ class PreparedDesign:
         want = self.ev_block[ev] * A + recv_j
         pos = np.searchsorted(key, want)
         hit = key[pos] == want
+        out = np.flatnonzero(hit)[~self.row_inrisk[pos[hit]]]
+        if len(out):
+            m = ev[out[0]]
+            raise ReceiverOutsideRiskSet(
+                f"event {m}: receiver {recv_j[out[0]]} outside risk set of "
+                f"sender {self.ev_sender[m]}")
         rows = self.static._x0[self.ev_class[ev], recv_j]
         rows[hit] += self.dX[pos[hit]]
         return np.add.reduceat(rows, self.recv_start[:-1])

@@ -219,12 +219,15 @@ def ingest_events(path, format="csv", cutoff=DEFAULT_RECIPIENT_CUTOFF,
                   actor_count=None, traits=None):
     """Read events from csv or jsonl, validate, sort, apply the cutoff.
 
-    Rows with more receivers than ``cutoff`` are dropped and counted.
-    Out-of-order rows are sorted with a warning.  Actor ids are densified
-    by order of first appearance unless ``actor_count`` pins an existing
-    dense registry.  Returns (EventStream, IngestReport).
+    One pass over the rows: each is parsed, its time and receiver set are
+    checked, and it is dropped and counted when it has more receivers than
+    ``cutoff``; a kept row's actor ids are densified by order of first
+    appearance, or checked against the dense registry ``actor_count`` pins.
+    The first fault in file order is reported, with its line.  Out-of-order
+    rows are sorted with a warning.  Returns (EventStream, IngestReport).
     """
-    rows = []
+    report, events, unsorted = IngestReport(), [], False
+    id_map = report.id_map = {a: a for a in range(actor_count or 0)}
     with open(path) as fh:
         if format == "csv":
             if not fh.readline().lower().startswith("time"):
@@ -238,51 +241,33 @@ def ingest_events(path, format="csv", cutoff=DEFAULT_RECIPIENT_CUTOFF,
             if not line.strip():
                 continue
             try:
-                rows.append((lineno, *parse(line.strip())))
+                t, sender, recv = parse(line.strip())
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise MalformedRowError(lineno, str(exc)) from None
-
-    report = IngestReport(total_rows=len(rows))
-    kept = []
-    for lineno, t, sender, recv in rows:
-        if not math.isfinite(t):
-            raise MalformedRowError(lineno, f"time {t!r} is not finite")
-        if not recv:
-            raise MalformedRowError(lineno, "empty receiver set")
-        if len(set(recv)) > cutoff:
-            report.dropped_oversize += 1
-            continue
-        kept.append((lineno, t, sender, recv))
-    report.retained = len(kept)
-    if not kept:
-        raise StreamError("no events retained")
-
-    if actor_count is None:
-        id_map = {}
-        for _, _, sender, recv in kept:
+            report.total_rows += 1
+            if not math.isfinite(t):
+                raise MalformedRowError(lineno, f"time {t!r} is not finite")
+            if not recv:
+                raise MalformedRowError(lineno, "empty receiver set")
+            if len(set(recv)) > cutoff:
+                report.dropped_oversize += 1
+                continue
             for a in [sender, *recv]:
                 if a not in id_map:
+                    if actor_count is not None:
+                        raise MalformedRowError(lineno, f"unknown actor id {a}")
                     id_map[a] = len(id_map)
-        report.id_map = id_map
-        actor_count = len(id_map)
-        dense = lambda a: id_map[a]
-    else:
-        report.id_map = {a: a for a in range(actor_count)}
-        for lineno, _, sender, recv in kept:
-            for a in [sender, *recv]:
-                if not (0 <= a < actor_count):
-                    raise MalformedRowError(lineno, f"unknown actor id {a}")
-        dense = lambda a: a
-
-    times = [t for _, t, _, _ in kept]
-    if any(b < a for a, b in zip(times, times[1:])):
+            if events and t < events[-1].time:
+                unsorted = True
+            events.append(Event(t, id_map[sender],
+                                tuple(id_map[r] for r in recv)))
+    report.retained = len(events)
+    if not events:
+        raise StreamError("no events retained")
+    if unsorted:
         warnings.warn(f"{path}: events out of order; sorting by time")
-
-    events = [Event(t, dense(s), tuple(dense(r) for r in recv))
-              for _, t, s, recv in kept]
-    inv = {v: k for k, v in report.id_map.items()}
-    stream = EventStream(events, actor_count, traits=traits,
-                         original_ids=[inv[k] for k in range(actor_count)])
+    stream = EventStream(events, len(id_map), traits=traits,
+                         original_ids=list(id_map))
     return stream, report
 
 

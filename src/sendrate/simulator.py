@@ -69,8 +69,10 @@ class SimConfig:
         return max(self.size_weights)
 
     def baseline_vector(self):
-        lam = np.broadcast_to(np.asarray(self.baseline, dtype=np.float64),
-                              (self.actor_count,)).copy()
+        lam = np.asarray(self.baseline, dtype=np.float64)
+        if lam.shape not in ((), (self.actor_count,)):
+            raise StreamError(f"baseline must be one rate or {self.actor_count}")
+        lam = np.broadcast_to(lam, (self.actor_count,)).copy()
         if not ((0 <= lam) & (lam < np.inf)).all():
             raise StreamError("baseline must be finite and nonnegative")
         return lam

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -217,6 +218,28 @@ class TestBootstrapBias:
         monkeypatch.setattr("sendrate.bootstrap._REFIT_MAX_ITERS", 1)
         with pytest.raises(StreamError, match="every bootstrap replicate"):
             bootstrap_bias(design, res, BootstrapConfig(replicates=4, seed=0))
+
+    @pytest.mark.parametrize("change, message", [
+        ("exact_multicast", "variant 'exact_multicast'"),
+        ("nonsense", "variant 'nonsense'"), ("terms", "terms")])
+    def test_fit_it_cannot_correct_refused(self, change, message):
+        # an exact fit carries no duplication bias to subtract
+        design = simulated_design(seed=1, actors=6, n=300,
+                                  sizes={1: 1.0, 2: 0.1})
+        res = fit(design, "exact_multicast" if change == "exact_multicast"
+                  else "approx_multicast")
+        if change == "nonsense":
+            res = replace(res, variant="nonsense")
+        if change == "terms":
+            res = replace(res, term_names=["receive", "send"])
+        with pytest.raises(StreamError, match=message):
+            bootstrap_bias(design, res, BootstrapConfig(replicates=2))
+
+    def test_pairwise_fit_accepted(self):
+        design = simulated_design(n=100)
+        report = bootstrap_bias(design, fit(design, "pairwise"),
+                                BootstrapConfig(replicates=2, seed=3))
+        assert len(report.replicate_estimates) == 2
 
     def test_fits_first_without_a_fit(self):
         design = simulated_design(n=200, sizes={1: 1.0, 2: 0.2})

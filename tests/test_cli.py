@@ -231,7 +231,7 @@ class TestExitCodes:
         assert run("simulate", "--config", "bad_sim.json", "--out", "e.csv") == 1
         assert "expected a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("traits", [5, True, ["t.csv"]])
+    @pytest.mark.parametrize("traits", [5, True, ["t.csv"], False, 0, []])
     def test_sim_config_traits_not_a_path_is_1(self, workdir, capsys, traits):
         # an integer would be opened as a file descriptor
         (workdir / "bad_sim.json").write_text(
@@ -329,7 +329,9 @@ class TestExitCodes:
         ("size_weights", {"1": float("nan")}),
         ("size_weights", {"1": 1.0, "2": float("inf")}),
         ("baseline", float("inf")),
-        ("baseline", [float("nan")] * 10)])
+        ("baseline", [float("nan")] * 10),
+        ("baseline", [1, 2, 3]),
+        ("baseline", [[0.01] * 10])])
     def test_sim_config_with_bad_value_is_1(self, workdir, capsys, field, value):
         (workdir / "bad_sim.json").write_text(
             json.dumps(dict(SIM_CONFIG, **{field: value})))
@@ -373,6 +375,23 @@ class TestExitCodes:
         assert run(command, "--fit", "bad_fit.json", "--events", "e.csv",
                    "--spec", "spec.json", *extra) == 1
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("variant", ["exact", "nonsense"])
+    def test_bootstrap_of_fit_it_cannot_correct_is_1(self, workdir, capsys,
+                                                     variant):
+        # an exact fit carries no duplication bias to subtract
+        run("simulate", "--config", "sim.json", "--out", "e.csv")
+        run("fit", "--events", "e.csv", "--spec", "spec.json", "--out",
+            "fit.json", "--variant", "approx" if variant == "nonsense"
+            else variant)
+        obj = json.loads(open("fit.json").read())
+        if variant == "nonsense":
+            obj["variant"] = variant
+        (workdir / "fit.json").write_text(json.dumps(obj))
+        capsys.readouterr()
+        assert run("bootstrap", "--fit", "fit.json", "--events", "e.csv",
+                   "--spec", "spec.json", "--replicates", "2") == 1
+        assert "variant" in capsys.readouterr().err
 
     def test_programming_error_propagates(self, workdir, monkeypatch):
         def broken(args):

@@ -137,6 +137,25 @@ class TestIngest:
         export_events(stream, out)
         assert "100,200" in open(out).read()
 
+    def test_densified_registry_holds_kept_rows_only(self, tmp_path):
+        # rows over the cutoff register none of their actors
+        path = write(tmp_path, "e.csv", "time,sender,receivers\n"
+                     '1.0,50,"60;70;80"\n2.0,30,10\n3.0,10,"30;20"\n'
+                     '4.0,40,"90;91;92"\n5.0,20,"30;60"\n')
+        stream, report = ingest_events(path, cutoff=2)
+        assert (report.total_rows, report.retained,
+                report.dropped_oversize) == (5, 3, 2)
+        assert report.id_map == {30: 0, 10: 1, 20: 2, 60: 3}
+        assert stream.actor_count == 4
+        assert stream.original_ids == [30, 10, 20, 60]
+        assert [(e.time, e.sender, e.receivers) for e in stream] == [
+            (2.0, 0, (1,)), (3.0, 1, (0, 2)), (5.0, 2, (0, 3))]
+        out = str(tmp_path / "o.csv")
+        export_events(stream, out)
+        again, _ = ingest_events(out, cutoff=2)
+        assert again.original_ids == stream.original_ids
+        assert again.events == stream.events
+
 
 class TestEventInvariants:
     def test_receivers_deduplicated_and_sorted(self):

@@ -39,6 +39,26 @@ def write(tmp_path, text):
 CASES = {
     "spec not an object": (
         lambda: CovariateSpec.from_json([]), StreamError, "JSON object"),
+    "static terms not a list": (
+        lambda: CovariateSpec.from_json({"static": 5}), StreamError,
+        "static: expected a list"),
+    "static terms a string": (
+        lambda: CovariateSpec.from_json({"static": "1*a"}), StreamError,
+        "static: expected a list"),
+    "dyadic terms not a list": (
+        lambda: CovariateSpec.from_json({"dyadic": 5}), StreamError,
+        "dyadic: expected a list"),
+    "triadic terms not a list": (
+        lambda: CovariateSpec.from_json({"triadic": 5}), StreamError,
+        "triadic: expected a list"),
+    "no interval boundaries": (
+        lambda: CovariateSpec.from_json({"dyadic": [{"effect": "send"}],
+                                         "intervals_seconds": []}),
+        StreamError, "intervals_seconds"),
+    "interval boundaries not a list": (
+        lambda: CovariateSpec.from_json({"dyadic": [{"effect": "send"}],
+                                         "intervals_seconds": 0}),
+        StreamError, "intervals_seconds"),
     "unknown effect": (
         lambda: CovariateSpec(dyadic=[("reply", "indicator")]), StreamError,
         "unknown effect"),

@@ -105,6 +105,37 @@ class TestTrivialValues:
         with pytest.raises(ReceiverOutsideRiskSet):
             prepare(stream, basic_spec(), policy=policy)
 
+    @pytest.mark.parametrize("mode", ["static", "callback"])
+    def test_later_receiver_outside_risk_set_named(self, monkeypatch, mode):
+        from sendrate.design import ReceiverOutsideRiskSet
+        # actor 3 is in no sender's risk set; event 3 joins event 2's block
+        # through the change count, and event 5 breaks the sets again
+        sets = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: {0, 1, 2}}
+        policy = (RiskSetPolicy("static", static_sets=sets) if mode == "static"
+                  else RiskSetPolicy("callback", callback=lambda t, i: sets[i]))
+        spec = CovariateSpec(dyadic=[("send", "indicator")])
+
+        def stream(third):
+            return EventStream([
+                Event(1.0, 0, (1,)), Event(2.0, 1, (0,)), Event(3.0, 0, (1,)),
+                Event(4.0, 0, third), Event(5.0, 3, (0, 2)),
+                Event(6.0, 1, (3,))], 4)
+        built, rows = [], DynamicState.rows
+
+        def counting(state, t, i, js):
+            built.append(t)
+            return rows(state, t, i, js)
+        monkeypatch.setattr(DynamicState, "rows", counting)
+        with pytest.raises(ReceiverOutsideRiskSet,
+                           match="event 5: receiver 3 outside risk set of "
+                                 "sender 1"):
+            prepare(stream((1, 2)), spec, policy=policy)
+        assert 4.0 not in built
+        with pytest.raises(ReceiverOutsideRiskSet,
+                           match="^event 3: receiver 3 outside risk set of "
+                                 "sender 0$"):
+            prepare(stream((1, 3)), spec, policy=policy)
+
 
 class TestSparseEqualsDense:
     @pytest.mark.parametrize("variant", ["approx_multicast", "exact_multicast"])
